@@ -231,9 +231,9 @@ fn bench_telemetry(c: &mut Criterion) {
     });
     group.finish();
 
-    // The overhead claim that matters: the full service throughput
-    // sweep with telemetry disabled vs enabled (instrumentation must be
-    // within noise when off, and cheap even when on).
+    // The overhead claim that matters: a full service replay with
+    // telemetry disabled vs enabled (instrumentation must be within
+    // noise when off, and cheap even when on).
     let p = Pipeline::build(PipelineConfig::small(42)).expect("pipeline");
     let mut group = c.benchmark_group("service_replay_telemetry");
     group.sample_size(10);
@@ -245,7 +245,7 @@ fn bench_telemetry(c: &mut Criterion) {
         let db = &p.db;
         group.bench_function(label, |b| {
             b.iter(|| {
-                let mut config = ServiceConfig::new(2, p.config.smaller_servers)
+                let mut config = ServiceConfig::new(1, p.config.smaller_servers)
                     .with_telemetry(std::sync::Arc::clone(&handle));
                 config.deadlines = p.deadlines;
                 config.qos_margin = p.config.qos_margin;
@@ -305,7 +305,7 @@ fn bench_durability(c: &mut Criterion) {
     fn admitted(ticket: u64) -> WalRecord {
         WalRecord::Admitted {
             ticket,
-            shard: (ticket % 4) as u32,
+            shard: 0,
             placements: vec![PlacementRec {
                 server: (ticket % 16) as u32,
                 cpu: 2,
@@ -373,8 +373,8 @@ fn bench_durability(c: &mut Criterion) {
         })
     });
 
-    // Checkpoint round trip: a 4-shard, 64-server fleet snapshot,
-    // written atomically (tmp + rename + fsync) and read back.
+    // Checkpoint round trip: a 64-server fleet snapshot, written
+    // atomically (tmp + rename + fsync) and read back.
     let snapdir = bench_dir("snap");
     let snapshot = SnapshotRec {
         seq: 1,
@@ -382,19 +382,17 @@ fn bench_durability(c: &mut Criterion) {
         now: 1_234.5,
         next_ticket: 1_000,
         cache_generation: 1,
-        shards: (0..4u32)
-            .map(|index| eavm_durability::ShardSnapRec {
-                index,
-                clock: 1_234.5,
-                energy: 9.9e6,
-                servers: (0..16u32)
-                    .map(|s| eavm_durability::ServerSnapRec {
-                        server: index * 16 + s,
-                        residents: vec![(0, 2_000.0), (1, 2_500.0), (2, 3_000.0)],
-                    })
-                    .collect(),
-            })
-            .collect(),
+        shards: vec![eavm_durability::ShardSnapRec {
+            index: 0,
+            clock: 1_234.5,
+            energy: 9.9e6,
+            servers: (0..64u32)
+                .map(|server| eavm_durability::ServerSnapRec {
+                    server,
+                    residents: vec![(0, 2_000.0), (1, 2_500.0), (2, 3_000.0)],
+                })
+                .collect(),
+        }],
         parked: vec![],
         counters: vec![("submitted".into(), 1_000)],
     };

@@ -1,14 +1,14 @@
 //! Overload-control sweep: flash crowds from 0.5x to 4x fleet capacity
 //! against the adaptive admission plane (`eavm-overload`).
 //!
-//! A 2-shard, 4-server fleet (per-server CPU bound 10 ⇒ 40 single-VM
-//! slots) receives a paced crowd of `multiplier x capacity` one-VM CPU
-//! requests at a fixed 5-virtual-second arrival gap, mixed 9:4:2
+//! A 4-server fleet (per-server CPU bound 10 ⇒ 40 single-VM slots)
+//! receives a crowd of `multiplier x capacity` one-VM CPU requests at a
+//! fixed 5-virtual-second arrival gap, mixed 9:4:2
 //! Batch:Standard:Interactive. The overload plane runs with the same
-//! regime the acceptance tests pin: AIMD ceiling 12 VMs/shard, 32-slot
-//! park queue, generous queue aging. Per offered load the sweep reports
-//! total and per-class goodput, the shed breakdown, p99 admission
-//! latency, and the final AIMD limits. Usage:
+//! regime the acceptance tests pin: fleet-wide AIMD ceiling 24 VMs,
+//! 32-slot park queue, generous queue aging. Per offered load the sweep
+//! reports total and per-class goodput, the shed breakdown, p99
+//! admission latency, and the final AIMD limit. Usage:
 //!
 //! ```text
 //! overload_shed [multipliers,comma-separated]
@@ -18,13 +18,12 @@
 
 use eavm_benchdb::DbBuilder;
 use eavm_overload::{OverloadConfig, Priority};
-use eavm_service::{replay_online_paced, ServiceConfig};
+use eavm_service::{replay_online, ServiceConfig};
 use eavm_swf::VmRequest;
 use eavm_types::{JobId, Seconds, WorkloadType};
 
-/// Fleet shape shared by every run in the sweep.
-const SHARDS: usize = 2;
-const SERVERS_PER_SHARD: usize = 4;
+/// Fleet size shared by every run in the sweep.
+const SERVERS: usize = 4;
 /// Per-server CPU OS bound of the exact database is 10 VMs.
 const CAPACITY: usize = 40;
 
@@ -62,11 +61,11 @@ fn crowd(offered: usize) -> Vec<VmRequest> {
 }
 
 fn config() -> ServiceConfig {
-    let mut config = ServiceConfig::new(SHARDS, SERVERS_PER_SHARD);
+    let mut config = ServiceConfig::new(1, SERVERS);
     config.queue_capacity = 32;
     config.deadlines = [Seconds(1e7), Seconds(1e7), Seconds(1e7)];
     config.overload = Some(OverloadConfig {
-        max_limit: 12.0,
+        max_limit: 24.0,
         queue_target: 7200.0,
         queue_interval: 7200.0,
         ..OverloadConfig::default()
@@ -83,11 +82,11 @@ fn main() {
 
     let db = DbBuilder::exact().build().expect("model database");
     println!(
-        "# overload_shed: {SHARDS} shards x {SERVERS_PER_SHARD} servers \
-         ({CAPACITY} single-VM CPU slots), 5 s arrival gap, 9:4:2 B:S:I"
+        "# overload_shed: {SERVERS} servers ({CAPACITY} single-VM CPU slots), \
+         5 s arrival gap, 9:4:2 B:S:I"
     );
     println!(
-        "{:<6} {:>7} {:>9} {:>7} {:>7} {:>7} {:>7} {:>9} {:>6} {:>7} {:>7} {:>12}",
+        "{:<6} {:>7} {:>9} {:>7} {:>7} {:>7} {:>7} {:>9} {:>6} {:>7} {:>7} {:>11}",
         "xcap",
         "offered",
         "admitted",
@@ -99,13 +98,12 @@ fn main() {
         "aged",
         "q_full",
         "p99_us",
-        "final_limits"
+        "final_limit"
     );
     for &multiplier in &multipliers {
         let offered = (CAPACITY as f64 * multiplier).round() as usize;
         let requests = crowd(offered);
-        let report =
-            replay_online_paced(&db, config(), &requests).expect("paced overloaded replay");
+        let report = replay_online(&db, config(), &requests).expect("overloaded replay");
         let stats = &report.stats;
         let admitted: u64 = stats.admitted_class.iter().sum();
         let goodput = |class: Priority| {
@@ -115,13 +113,9 @@ fn main() {
             }
             100.0 * stats.admitted_class[class.index()] as f64 / sub as f64
         };
-        let limits: Vec<String> = stats
-            .overload
-            .as_ref()
-            .map(|s| s.limits.iter().map(|l| format!("{l:.0}")).collect())
-            .unwrap_or_default();
+        let limit = stats.overload.as_ref().map_or(0.0, |s| s.limit);
         println!(
-            "{:<6.2} {:>7} {:>9} {:>7.1} {:>7.1} {:>7.1} {:>7.1} {:>9} {:>6} {:>7} {:>7} {:>12}",
+            "{:<6.2} {:>7} {:>9} {:>7.1} {:>7.1} {:>7.1} {:>7.1} {:>9} {:>6} {:>7} {:>7} {:>11.0}",
             multiplier,
             offered,
             admitted,
@@ -133,7 +127,7 @@ fn main() {
             stats.shed_queue_aged,
             stats.shed_wait_queue,
             stats.admission_latency_us.p99,
-            limits.join("/"),
+            limit,
         );
     }
 }

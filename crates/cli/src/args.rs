@@ -1,15 +1,18 @@
 //! Minimal `--flag value` argument parsing (no external dependencies).
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
 
 /// Parsed command line: a subcommand plus `--key value` options and
-/// boolean `--flag`s.
+/// boolean `--flag`s. Every lookup records the name it asked for, so
+/// [`Args::reject_unread`] can refuse whatever the command never read.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     /// The subcommand (first positional token).
     pub command: String,
     options: HashMap<String, String>,
     flags: Vec<String>,
+    read: RefCell<BTreeSet<String>>,
 }
 
 impl Args {
@@ -42,22 +45,44 @@ impl Args {
         Ok(args)
     }
 
+    /// Look up an option's raw value, recording that it was read.
+    fn value(&self, name: &str) -> Option<&String> {
+        self.read.borrow_mut().insert(name.to_string());
+        self.options.get(name)
+    }
+
+    /// Fail on the first option or flag (in name order) that the
+    /// command never read, naming it: a typo or a flag the command does
+    /// not take must not pass silently. Call after the command ran.
+    pub fn reject_unread(&self) -> Result<(), String> {
+        let read = self.read.borrow();
+        let unread = self
+            .options
+            .keys()
+            .chain(&self.flags)
+            .filter(|name| !read.contains(*name))
+            .min();
+        match unread {
+            Some(name) => Err(format!("`{}` does not take --{name}", self.command)),
+            None => Ok(()),
+        }
+    }
+
     /// A required string option.
     pub fn required(&self, name: &str) -> Result<&str, String> {
-        self.options
-            .get(name)
+        self.value(name)
             .map(String::as_str)
             .ok_or_else(|| format!("missing required option --{name}"))
     }
 
     /// An optional option interpreted as a filesystem path.
     pub fn optional_path(&self, name: &str) -> Option<std::path::PathBuf> {
-        self.options.get(name).map(std::path::PathBuf::from)
+        self.value(name).map(std::path::PathBuf::from)
     }
 
     /// An optional parsed option with a default.
     pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.options.get(name) {
+        match self.value(name) {
             None => Ok(default),
             Some(v) => v
                 .parse()
@@ -68,7 +93,7 @@ impl Args {
     /// An optional parsed option: `Ok(None)` when absent, an error only
     /// when present but unparseable.
     pub fn get_optional<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
-        match self.options.get(name) {
+        match self.value(name) {
             None => Ok(None),
             Some(v) => v
                 .parse()
@@ -86,6 +111,7 @@ impl Args {
 
     /// Whether a boolean `--flag` was given.
     pub fn flag(&self, name: &str) -> bool {
+        self.read.borrow_mut().insert(name.to_string());
         self.flags.iter().any(|f| f == name)
     }
 
@@ -161,9 +187,32 @@ mod tests {
 
     #[test]
     fn optional_option_distinguishes_absent_from_present() {
-        let a = parse(&["x", "--kill-shard", "2"]).unwrap();
-        assert_eq!(a.get_optional::<usize>("kill-shard").unwrap(), Some(2));
-        assert_eq!(a.get_optional::<usize>("kill-after").unwrap(), None);
+        let a = parse(&["x", "--queue", "2"]).unwrap();
+        assert_eq!(a.get_optional::<usize>("queue").unwrap(), Some(2));
+        assert_eq!(a.get_optional::<usize>("cache").unwrap(), None);
+    }
+
+    #[test]
+    fn unread_options_and_flags_are_rejected_by_name() {
+        let a = parse(&[
+            "gen-trace",
+            "--out",
+            "t.swf",
+            "--bogus-flag",
+            "3",
+            "--paced",
+        ])
+        .unwrap();
+        assert_eq!(a.required("out").unwrap(), "t.swf");
+        // Asking about an absent name counts as reading it.
+        assert_eq!(a.get_or::<u64>("seed", 7).unwrap(), 7);
+        let err = a.reject_unread().unwrap_err();
+        assert_eq!(err, "`gen-trace` does not take --bogus-flag");
+        assert!(!a.flag("bogus-flag"));
+        let err = a.reject_unread().unwrap_err();
+        assert_eq!(err, "`gen-trace` does not take --paced");
+        assert!(a.flag("paced"));
+        assert!(a.reject_unread().is_ok());
     }
 
     #[test]
@@ -194,15 +243,15 @@ mod tests {
 
     #[test]
     fn nonzero_rejects_zero_counts() {
-        let a = parse(&["x", "--kill-after", "0"]).unwrap();
-        let err = a.nonzero_or("kill-after", 16).unwrap_err();
+        let a = parse(&["x", "--checkpoint-every", "0"]).unwrap();
+        let err = a.nonzero_or("checkpoint-every", 16).unwrap_err();
         assert!(
-            err.contains("kill-after") && err.contains("nonzero"),
+            err.contains("checkpoint-every") && err.contains("nonzero"),
             "{err}"
         );
-        let a = parse(&["x", "--kill-after", "3"]).unwrap();
-        assert_eq!(a.nonzero_or("kill-after", 16).unwrap(), 3);
+        let a = parse(&["x", "--checkpoint-every", "3"]).unwrap();
+        assert_eq!(a.nonzero_or("checkpoint-every", 16).unwrap(), 3);
         let a = parse(&["x"]).unwrap();
-        assert_eq!(a.nonzero_or("kill-after", 16).unwrap(), 16);
+        assert_eq!(a.nonzero_or("checkpoint-every", 16).unwrap(), 16);
     }
 }

@@ -7,15 +7,13 @@
 //! * `--fault-rate F` — expected crashes *and* degradations per
 //!   host-hour (simulator) or the knob deriving the transient
 //!   model-lookup failure probability (service); must be in `[0, 1]`.
-//! * `--kill-shard N` / `--kill-after M` — kill worker N after M served
-//!   messages to exercise the supervised respawn path.
 //!
 //! The durability plane has its own fault family (torn appends, bit
 //! rot, ENOSPC, dropped syncs, failed renames), parsed by
 //! [`storage_fault_flags`] into an [`eavm_storage::StorageFaultConfig`]
 //! armed on the journal's storage backend.
 
-use eavm_faults::{FaultConfig, FaultPlan, LookupFaults, WorkerFaultPlan};
+use eavm_faults::{FaultConfig, FaultPlan, LookupFaults};
 use eavm_storage::StorageFaultConfig;
 
 use crate::args::Args;
@@ -23,17 +21,12 @@ use crate::args::Args;
 /// Default chaos seed, shared with [`eavm_scenario::FaultSpec`].
 pub const DEFAULT_FAULT_SEED: u64 = 0xFA17;
 
-/// Default served-message count before an armed worker kill fires.
-pub const DEFAULT_KILL_AFTER: u64 = 16;
-
-/// The four chaos flags, each remembering whether it was given
+/// The two chaos flags, each remembering whether it was given
 /// explicitly (so `scenario run` can overlay only what the user set).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ChaosFlags {
     seed: Option<u64>,
     rate: Option<f64>,
-    kill_shard: Option<usize>,
-    kill_after: Option<u64>,
 }
 
 impl ChaosFlags {
@@ -42,15 +35,9 @@ impl ChaosFlags {
         let rate: Option<f64> = args.get_optional("fault-rate")?;
         // `fraction_or` owns the range check (and its error message).
         args.fraction_or("fault-rate", 0.0)?;
-        let kill_after: Option<u64> = args.get_optional("kill-after")?;
-        if kill_after == Some(0) {
-            return Err("--kill-after must be nonzero".into());
-        }
         Ok(ChaosFlags {
             seed: args.get_optional("fault-seed")?,
             rate,
-            kill_shard: args.get_optional("kill-shard")?,
-            kill_after,
         })
     }
 
@@ -60,10 +47,6 @@ impl ChaosFlags {
 
     pub fn rate(&self) -> f64 {
         self.rate.unwrap_or(0.0)
-    }
-
-    pub fn kill_after(&self) -> u64 {
-        self.kill_after.unwrap_or(DEFAULT_KILL_AFTER)
     }
 
     /// Arm a deterministic host-level [`FaultPlan`] over `hosts` hosts
@@ -100,24 +83,6 @@ impl ChaosFlags {
         Some(LookupFaults::new(seed, lookup))
     }
 
-    /// Arm the worker-kill plan when `--kill-shard` was given, range-
-    /// checking the shard index against the fleet.
-    pub fn worker_faults(&self, shards: usize) -> Result<Option<WorkerFaultPlan>, String> {
-        let Some(kill_shard) = self.kill_shard else {
-            return Ok(None);
-        };
-        if kill_shard >= shards {
-            return Err(format!(
-                "--kill-shard {kill_shard} out of range (shards={shards})"
-            ));
-        }
-        Ok(Some(WorkerFaultPlan::kill_shard(
-            shards,
-            kill_shard,
-            self.kill_after(),
-        )))
-    }
-
     /// Overlay explicitly-given flags onto a scenario's fault spec
     /// (command line wins over the file), then re-validate the spec so
     /// overrides cannot smuggle in a mode/feature mismatch.
@@ -127,12 +92,6 @@ impl ChaosFlags {
         }
         if let Some(rate) = self.rate {
             spec.faults.lookup_failure_rate = rate;
-        }
-        if let Some(shard) = self.kill_shard {
-            spec.faults.kill_shard = Some(shard);
-        }
-        if let Some(after) = self.kill_after {
-            spec.faults.kill_after = after;
         }
         spec.validate()
     }
@@ -193,11 +152,10 @@ mod tests {
         assert_eq!(flags.seed(), DEFAULT_FAULT_SEED);
         assert!(flags.host_plan(8, &[]).is_none());
         assert!(flags.lookup_faults().is_none());
-        assert!(flags.worker_faults(4).expect("in range").is_none());
     }
 
     #[test]
-    fn rate_and_kill_flags_validate() {
+    fn rate_flag_validates() {
         let argv: Vec<String> = ["x", "--fault-rate", "1.5"]
             .iter()
             .map(|s| s.to_string())
@@ -205,18 +163,6 @@ mod tests {
         let err = ChaosFlags::from_args(&Args::parse(&argv).expect("argv parses"))
             .expect_err("rate out of range");
         assert!(err.contains("[0, 1]"), "{err}");
-
-        let argv: Vec<String> = ["x", "--kill-after", "0"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let err = ChaosFlags::from_args(&Args::parse(&argv).expect("argv parses"))
-            .expect_err("zero kill-after");
-        assert!(err.contains("nonzero"), "{err}");
-
-        let flags = parse(&["x", "--kill-shard", "9"]);
-        let err = flags.worker_faults(4).expect_err("shard out of range");
-        assert!(err.contains("out of range"), "{err}");
     }
 
     #[test]
@@ -237,12 +183,13 @@ mod tests {
         assert_eq!(spec.faults.seed, 7);
         assert!((spec.faults.lookup_failure_rate - 0.25).abs() < 1e-12);
 
-        // A kill override on a simulate-mode scenario must fail the
-        // re-validation instead of silently compiling to nothing.
-        let err = parse(&["x", "--kill-shard", "0"])
-            .apply_to_spec(&mut spec)
-            .expect_err("kill needs service mode");
-        assert!(err.contains("kill"), "{err}");
+        // An out-of-range override fails the re-validation.
+        let bad = ChaosFlags {
+            seed: None,
+            rate: Some(2.0),
+        };
+        let err = bad.apply_to_spec(&mut spec).expect_err("rate out of range");
+        assert!(err.contains("lookup_failure_rate"), "{err}");
     }
 
     fn storage(argv: &[&str]) -> Result<Option<StorageFaultConfig>, String> {

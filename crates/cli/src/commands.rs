@@ -33,7 +33,7 @@ pub fn dispatch(argv: &[String]) -> Result<String, String> {
         return scenario_cmd(&argv[1..]);
     }
     let args = Args::parse(argv)?;
-    match args.command.as_str() {
+    let output = match args.command.as_str() {
         "build-db" => build_db(&args),
         "gen-trace" => gen_trace(&args),
         "clean-trace" => clean_trace_cmd(&args),
@@ -48,7 +48,9 @@ pub fn dispatch(argv: &[String]) -> Result<String, String> {
         "info" => info(&args),
         "lint" => lint(&args),
         other => Err(format!("unknown subcommand {other:?}")),
-    }
+    }?;
+    args.reject_unread()?;
+    Ok(output)
 }
 
 fn usage() -> String {
@@ -65,7 +67,7 @@ USAGE:
                        [--burst] [--always-on] [--timeline-out FILE]
                        [--consolidate-every SECS] [--drain-threshold N]
                        [--fault-seed N] [--fault-rate F]
-  eavm-cli serve       --db-dir DIR --trace FILE --servers N [--shards N]
+  eavm-cli serve       --db-dir DIR --trace FILE --servers N
                        [--vms N] [--seed N] [--qos F] [--margin F] [--alpha F]
                        [--queue N] [--cache N]
                        [--consolidate-every SECS] [--drain-threshold N]
@@ -73,8 +75,7 @@ USAGE:
                        [--queue-target SECS] [--queue-interval SECS]
                        [--breaker-rate F] [--breaker-seed N]
                        [--fault-seed N] [--fault-rate F]
-                       [--kill-shard N] [--kill-after M]
-                       [--journal-dir DIR] [--checkpoint-every N] [--paced]
+                       [--journal-dir DIR] [--checkpoint-every N]
                        [--append-retries N]
                        [--crash-after-events N] [--verdicts-out FILE]
                        [--storage-fault-seed N] [--storage-torn-append F]
@@ -82,7 +83,7 @@ USAGE:
                        [--storage-fail-rename F] [--storage-enospc-after BYTES]
                        [--metrics-out FILE] [--metrics-format prometheus|json]
   eavm-cli recover     --db-dir DIR --trace FILE --servers N --journal-dir DIR
-                       [--shards N] [--vms N] [--seed N] [--qos F] [--margin F]
+                       [--vms N] [--seed N] [--qos F] [--margin F]
                        [--alpha F] [--queue N] [--cache N] [--checkpoint-every N]
                        [--consolidate-every SECS] [--drain-threshold N]
                        [--overload] [--overload-cut F] [--limit-max N]
@@ -99,7 +100,6 @@ USAGE:
   eavm-cli scenario check FILE
   eavm-cli scenario run FILE [--db-dir DIR] [--threads N] [--out FILE]
                        [--fault-seed N] [--fault-rate F]
-                       [--kill-shard N] [--kill-after M]
   eavm-cli db-diff     --left DIR --right DIR [--tolerance F]
   eavm-cli info        --db-dir DIR
   eavm-cli lint        [--root DIR] [--format text|json|sarif] [--rules LIST] [--deny]
@@ -520,7 +520,6 @@ fn overload_flags(args: &Args) -> Result<Option<eavm_overload::OverloadConfig>, 
 /// bound.
 fn service_config(
     args: &Args,
-    shards: usize,
     servers: usize,
     deadlines: [Seconds; 3],
     os_bounds: eavm_types::MixVector,
@@ -529,7 +528,7 @@ fn service_config(
     let margin: f64 = args.get_or("margin", 0.65)?;
     let alpha: f64 = args.get_or("alpha", 0.5)?;
     let mut config =
-        eavm_service::ServiceConfig::new(shards, servers).with_telemetry(Arc::clone(telemetry));
+        eavm_service::ServiceConfig::new(1, servers).with_telemetry(Arc::clone(telemetry));
     config.queue_capacity = args.get_or("queue", 1024)?;
     config.cache_capacity = args.get_or("cache", 4096)?;
     config.goal = OptimizationGoal::new(alpha).map_err(|e| e.to_string())?;
@@ -545,20 +544,15 @@ fn service_config(
             ..ConsolidationConfig::default()
         });
     }
-    // Adaptive overload control (`--overload` + tuning flags): AIMD
-    // per-shard limits, queue-age shedding, brownout ladder, breaker.
+    // Adaptive overload control (`--overload` + tuning flags): a
+    // fleet-wide AIMD limit, queue-age shedding, brownout ladder,
+    // breaker.
     config.overload = overload_flags(args)?;
     // Chaos knobs (shared parsing in [`ChaosFlags`]): `--fault-rate`
     // arms transient model-lookup failures (same seeding as the
-    // simulator's plan), `--kill-shard N` kills worker N after
-    // `--kill-after M` served messages to exercise the supervised
-    // respawn path end to end.
-    let chaos = ChaosFlags::from_args(args)?;
-    if let Some(lookup) = chaos.lookup_faults() {
+    // simulator's plan).
+    if let Some(lookup) = ChaosFlags::from_args(args)?.lookup_faults() {
         config = config.with_lookup_faults(lookup);
-    }
-    if let Some(plan) = chaos.worker_faults(shards)? {
-        config = config.with_worker_faults(plan);
     }
     // Durability: journal every admission verdict before acking it and
     // checkpoint the fleet periodically; `--crash-after-events N`
@@ -646,11 +640,9 @@ fn render_overload(s: &eavm_service::ServiceStats) -> String {
     let Some(ovl) = &s.overload else {
         return String::new();
     };
-    let min = ovl.limits.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = ovl.limits.iter().copied().fold(0.0_f64, f64::max);
     format!(
-        "overload: breaker={:?} breaker-streak={} probes={} limit-min={:.2} limit-max={:.2}\n",
-        ovl.breaker, ovl.breaker_streak, ovl.probes, min, max
+        "overload: breaker={:?} breaker-streak={} probes={} limit={:.2}\n",
+        ovl.breaker, ovl.breaker_streak, ovl.probes, ovl.limit
     )
 }
 
@@ -705,40 +697,23 @@ fn render_durability(s: &eavm_service::ServiceStats) -> String {
     out
 }
 
-/// Run the trace through the live concurrent service
+/// Run the trace through the live allocation service
 /// ([`eavm_service::AllocService`]) and report its counters.
 fn serve(args: &Args) -> Result<String, String> {
     let servers: usize = args.get_required("servers")?;
-    let shards: usize = args.get_or("shards", 4)?;
     let (db, requests, deadlines) = load_workload(args)?;
     let telemetry = Telemetry::new();
-    let config = service_config(
-        args,
-        shards,
-        servers,
-        deadlines,
-        db.aux().os_bounds,
-        &telemetry,
-    )?;
+    let config = service_config(args, servers, deadlines, db.aux().os_bounds, &telemetry)?;
     let journaled = config.durability.is_some();
 
     // eavm-lint: allow(D1, reason = "wall-clock throughput figure for the operator summary line; no simulated or replayed state reads it")
     let started = std::time::Instant::now();
-    // Paced submission (one request per admission batch) trades
-    // throughput for a fully deterministic verdict stream — the driving
-    // mode the crash-recovery byte-parity guarantee is stated for.
-    let report = if args.flag("paced") {
-        eavm_service::replay_online_paced(&db, config, &requests)
-    } else {
-        eavm_service::replay_online(&db, config, &requests)
-    }
-    .map_err(|e| e.to_string())?;
+    let report = eavm_service::replay_online(&db, config, &requests).map_err(|e| e.to_string())?;
     let elapsed = started.elapsed().as_secs_f64();
     let s = &report.stats;
     let lat = &s.admission_latency_us;
     let throughput = report.requests as f64 / elapsed.max(1e-9);
-    // Every accepted request must resolve to exactly one final verdict,
-    // shard deaths included.
+    // Every accepted request must resolve to exactly one final verdict.
     let finals = s.admitted_local
         + s.admitted_cross_shard
         + s.shed_wait_queue
@@ -759,17 +734,17 @@ fn serve(args: &Args) -> Result<String, String> {
         )
     };
     let mut output = format!(
-        "service: shards={shards} servers={servers} requests={} vms={}\n\
+        "service: servers={servers} requests={} vms={}\n\
          admitted: local={} cross-shard={} after-wait={}\n\
          shed: admission={} wait-queue={} unplaceable={} shard-failure={} storage-degraded={} \
 queue-aged={} brownout-class={}\n\
          classes: submitted-batch={} submitted-standard={} submitted-interactive={} \
 admitted-batch={} admitted-standard={} admitted-interactive={}\n\
-         faults: shard-failures={} respawns={} requeued={} model-fallbacks={}\n\
+         faults: model-fallbacks={}\n\
          {}\
          {}\
          admission-latency: p50={}us p95={}us p99={}us max={}us\n\
-         reserve-conflicts={} virtual-makespan={:.0}s estimated-energy={:.3e}J\n\
+         virtual-makespan={:.0}s estimated-energy={:.3e}J\n\
          wall-time={elapsed:.3}s throughput={throughput:.0} req/s\n",
         report.requests,
         report.vms,
@@ -789,17 +764,13 @@ admitted-batch={} admitted-standard={} admitted-interactive={}\n\
         s.admitted_class[0],
         s.admitted_class[1],
         s.admitted_class[2],
-        s.shard_failures,
-        s.shard_respawns,
-        s.requeued,
         s.model_fallbacks,
         conservation,
-        render_cache(&s.aggregate_cache),
+        render_cache(&s.cache),
         lat.p50,
         lat.p95,
         lat.p99,
         lat.max,
-        s.reserve_conflicts,
         s.virtual_now.value(),
         s.estimated_energy.value(),
     );
@@ -816,26 +787,17 @@ admitted-batch={} admitted-standard={} admitted-interactive={}\n\
 /// Resume a crashed (or cleanly stopped) `serve --journal-dir` run:
 /// rebuild the fleet from the newest usable checkpoint plus the WAL
 /// tail, re-drive every submitted-but-undecided request, then submit
-/// whatever part of the trace the crashed process never reached (paced,
-/// so the verdict stream stays deterministic) and drain to completion.
-/// The reconstructed verdict log is byte-identical to an uncrashed
-/// paced run over the same trace.
+/// whatever part of the trace the crashed process never reached, and
+/// drain to completion. The reconstructed verdict log is byte-identical
+/// to an uncrashed run over the same trace.
 fn recover(args: &Args) -> Result<String, String> {
     let servers: usize = args.get_required("servers")?;
-    let shards: usize = args.get_or("shards", 4)?;
     let (db, requests, deadlines) = load_workload(args)?;
     if args.optional_path("journal-dir").is_none() {
         return Err("recover needs --journal-dir".into());
     }
     let telemetry = Telemetry::new();
-    let config = service_config(
-        args,
-        shards,
-        servers,
-        deadlines,
-        db.aux().os_bounds,
-        &telemetry,
-    )?;
+    let config = service_config(args, servers, deadlines, db.aux().os_bounds, &telemetry)?;
 
     let (service, recovery) =
         eavm_service::AllocService::recover(db, config).map_err(|e| e.to_string())?;
@@ -1095,8 +1057,7 @@ fn lint(args: &Args) -> Result<String, String> {
 /// `--out`).
 fn scenario_cmd(rest: &[String]) -> Result<String, String> {
     const USAGE: &str = "usage: eavm-cli scenario run|check FILE [--db-dir DIR] \
-                         [--threads N] [--out FILE] [--fault-seed N] [--fault-rate F] \
-                         [--kill-shard N] [--kill-after M]";
+                         [--threads N] [--out FILE] [--fault-seed N] [--fault-rate F]";
     let (action, file, flags) = match rest {
         [action, file, flags @ ..] if !action.starts_with("--") && !file.starts_with("--") => {
             (action.as_str(), PathBuf::from(file), flags)
@@ -1113,11 +1074,13 @@ fn scenario_cmd(rest: &[String]) -> Result<String, String> {
     // Command-line chaos flags overlay the file's [faults] section.
     ChaosFlags::from_args(&args)?.apply_to_spec(&mut spec)?;
 
-    match action {
+    let output = match action {
         "check" => Ok(render_scenario_check(&spec)),
         "run" => scenario_run(&args, &spec),
         other => Err(format!("unknown scenario action {other:?}\n{USAGE}")),
-    }
+    }?;
+    args.reject_unread()?;
+    Ok(output)
 }
 
 /// The `scenario check` report: the validated shape of the scenario,
@@ -1323,8 +1286,6 @@ mod tests {
             tracep.to_str().unwrap(),
             "--servers",
             "8",
-            "--shards",
-            "2",
             "--vms",
             "200",
             "--metrics-out",
@@ -1501,7 +1462,7 @@ mod tests {
         // Deterministic chaos: the whole report reproduces byte for byte.
         assert_eq!(first, replay(1));
 
-        // The live service survives an injected worker kill and still
+        // The live service rides out injected lookup failures and still
         // resolves every submission.
         let serve_out = run(&[
             "serve",
@@ -1511,20 +1472,13 @@ mod tests {
             tracep.to_str().unwrap(),
             "--servers",
             "6",
-            "--shards",
-            "2",
             "--vms",
             "200",
             "--fault-rate",
             "1.0",
-            "--kill-shard",
-            "0",
-            "--kill-after",
-            "5",
         ])
         .unwrap();
         assert!(serve_out.contains("conservation: ok"), "{serve_out}");
-        assert!(serve_out.contains("respawns=1"), "{serve_out}");
         assert!(!serve_out.contains("VIOLATED"), "{serve_out}");
 
         // Out-of-range chaos knobs are rejected up front, not armed.
@@ -1541,21 +1495,24 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("[0, 1]"), "{err}");
-        let err = run(&[
-            "serve",
-            "--db-dir",
-            dbdir.to_str().unwrap(),
-            "--trace",
-            tracep.to_str().unwrap(),
-            "--servers",
-            "6",
-            "--kill-shard",
-            "0",
-            "--kill-after",
-            "0",
-        ])
-        .unwrap_err();
-        assert!(err.contains("nonzero"), "{err}");
+        // Options of the removed sharded service, and typos, fail by
+        // name instead of running silently.
+        for stale in [&["--shards", "2"][..], &["--paced"], &["--kill-shard", "0"]] {
+            let mut argv = vec![
+                "serve",
+                "--db-dir",
+                dbdir.to_str().unwrap(),
+                "--trace",
+                tracep.to_str().unwrap(),
+                "--servers",
+                "6",
+                "--vms",
+                "50",
+            ];
+            argv.extend_from_slice(stale);
+            let err = run(&argv).unwrap_err();
+            assert!(err.contains(stale[0]), "{stale:?}: {err}");
+        }
     }
 
     #[test]
@@ -1594,11 +1551,8 @@ mod tests {
             tracep.to_str().unwrap(),
             "--servers",
             "6",
-            "--shards",
-            "2",
             "--vms",
             "150",
-            "--paced",
             "--journal-dir",
             journal.to_str().unwrap(),
             "--checkpoint-every",
@@ -1626,8 +1580,6 @@ mod tests {
             tracep.to_str().unwrap(),
             "--servers",
             "6",
-            "--shards",
-            "2",
             "--vms",
             "150",
             "--journal-dir",
@@ -1720,11 +1672,8 @@ mod tests {
             tracep.to_str().unwrap(),
             "--servers",
             "6",
-            "--shards",
-            "2",
             "--vms",
             "120",
-            "--paced",
             "--journal-dir",
             journal.to_str().unwrap(),
             "--checkpoint-every",
@@ -1786,8 +1735,6 @@ mod tests {
             tracep.to_str().unwrap(),
             "--servers",
             "6",
-            "--shards",
-            "2",
             "--vms",
             "120",
             "--journal-dir",
@@ -1879,11 +1826,8 @@ mod tests {
                 tracep.to_str().unwrap(),
                 "--servers",
                 "6",
-                "--shards",
-                "2",
                 "--vms",
                 "100",
-                "--paced",
                 "--checkpoint-every",
                 "8",
             ];
@@ -1930,11 +1874,8 @@ mod tests {
             tracep.to_str().unwrap(),
             "--servers",
             "6",
-            "--shards",
-            "2",
             "--vms",
             "100",
-            "--paced",
             "--checkpoint-every",
             "8",
             "--journal-dir",
@@ -2011,16 +1952,26 @@ crash_rate = 0.4
         let file = dir.join("s.eavm");
         std::fs::write(&file, SCENARIO_FIXTURE).unwrap();
 
-        // Chaos overlays re-validate: a worker kill needs service mode.
+        // Chaos overlays are range-checked, and flags `scenario` does
+        // not take fail by name.
         let err = run(&[
             "scenario",
             "run",
+            file.to_str().unwrap(),
+            "--fault-rate",
+            "1.5",
+        ])
+        .unwrap_err();
+        assert!(err.contains("[0, 1]"), "{err}");
+        let err = run(&[
+            "scenario",
+            "check",
             file.to_str().unwrap(),
             "--kill-shard",
             "0",
         ])
         .unwrap_err();
-        assert!(err.contains("kill_shard"), "{err}");
+        assert!(err.contains("does not take --kill-shard"), "{err}");
         // A fault-seed override still runs (and stays deterministic).
         let csv = run(&[
             "scenario",
@@ -2041,6 +1992,46 @@ crash_rate = 0.4
         std::fs::write(&bad, "[scenario]\nname = \"x\"\nbogus = 1\n").unwrap();
         let err = run(&["scenario", "check", bad.to_str().unwrap()]).unwrap_err();
         assert!(err.contains("scenario:3:"), "{err}");
+    }
+
+    #[test]
+    fn options_no_command_reads_fail_by_name() {
+        let dir = temp_dir("unread");
+        let tracep = dir.join("t.swf");
+        let err = run(&[
+            "gen-trace",
+            "--out",
+            tracep.to_str().unwrap(),
+            "--jobs",
+            "40",
+            "--bogus-flag",
+            "3",
+        ])
+        .unwrap_err();
+        assert!(err.contains("does not take --bogus-flag"), "{err}");
+
+        let dbdir = dir.join("db");
+        run(&["build-db", "--out-dir", dbdir.to_str().unwrap(), "--exact"]).unwrap();
+        let serve = |extra: &[&str]| {
+            let mut argv = vec![
+                "serve",
+                "--db-dir",
+                dbdir.to_str().unwrap(),
+                "--trace",
+                tracep.to_str().unwrap(),
+                "--servers",
+                "4",
+            ];
+            argv.extend_from_slice(extra);
+            run(&argv)
+        };
+        let typo = dir.join("journal");
+        let err = serve(&["--journal-dri", typo.to_str().unwrap()]).unwrap_err();
+        assert!(err.contains("does not take --journal-dri"), "{err}");
+        // A format with nothing to format is never read either.
+        let err = serve(&["--metrics-format", "bogus"]).unwrap_err();
+        assert!(err.contains("does not take --metrics-format"), "{err}");
+        assert!(serve(&[]).is_ok());
     }
 
     #[test]
@@ -2175,7 +2166,6 @@ crash_rate = 0.4
         let mk = |tokens: &[&str]| {
             service_config(
                 &parse(tokens),
-                2,
                 8,
                 [Seconds(1e7); 3],
                 eavm_types::MixVector::new(4, 4, 4),

@@ -8,7 +8,7 @@
 //! event (submit, admit, queue, requeue, shed, clock advance) as a
 //! CRC32-checksummed length-prefixed frame *before* acking it, and
 //! every `checkpoint_every` appends it snapshots its full placement
-//! state (per-shard resident VMs with bit-exact finish times, parked
+//! state (per-server resident VMs with bit-exact finish times, parked
 //! queue, counters) to an atomically renamed snapshot file. Recovery
 //! loads the newest snapshot whose coverage is consistent with the
 //! surviving WAL, replays the WAL tail, truncates any torn trailing

@@ -133,20 +133,21 @@ impl MoveRec {
 }
 
 /// One admission event, journaled before the matching ack leaves the
-/// coordinator. `Clock` records the coordinator's fleet-wide virtual
-/// clock advances so recovery retires resident VMs at exactly the
-/// instants the live run did.
+/// service. `Clock` records the fleet-wide virtual clock advances so
+/// recovery retires resident VMs at exactly the instants the live run
+/// did. The shard fields are a format relic: the service writes shard 0
+/// (`Admitted`) and shards `[0]` (`AdmittedCrossShard`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// A request entered the coordinator under `ticket`.
+    /// A request entered the service under `ticket`.
     Submit { ticket: u64, req: ReqRec },
-    /// Fast-path local admission on one shard.
+    /// Admission on arrival.
     Admitted {
         ticket: u64,
         shard: u32,
         placements: Vec<PlacementRec>,
     },
-    /// Two-phase commit across `shards`.
+    /// Admission after a wait.
     AdmittedCrossShard {
         ticket: u64,
         shards: Vec<u32>,
@@ -154,7 +155,7 @@ pub enum WalRecord {
     },
     /// Parked in the wait queue at depth `depth`.
     Queued { ticket: u64, depth: u32 },
-    /// Bounced by a dying shard and re-driven.
+    /// Decoded for format compatibility; never written any more.
     Requeued { ticket: u64, shard: u32 },
     /// Rejected; `reason` is a `ShedReason` index.
     Shed { ticket: u64, reason: u8 },
@@ -384,11 +385,12 @@ pub struct ServerSnapRec {
     pub residents: Vec<(u8, f64)>,
 }
 
-/// One shard's full placement state at checkpoint time.
+/// The fleet's full placement state at checkpoint time (the service
+/// writes one, at index 0).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSnapRec {
     pub index: u32,
-    /// The shard's virtual clock.
+    /// The fleet's virtual clock.
     pub clock: f64,
     /// Accumulated model-estimated dynamic energy (joules).
     pub energy: f64,

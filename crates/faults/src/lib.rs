@@ -355,70 +355,11 @@ impl FaultPlan {
     }
 }
 
-/// Kill schedule for service shard workers: worker `i` dies (by
-/// panicking) immediately before processing its `kill_after[i]`-th
-/// mailbox message; `None` means the worker is immortal.
-///
-/// The kill *point* is deterministic per worker; which request happens
-/// to be in flight when it fires depends on runtime interleaving, which
-/// is exactly the regime the supervision protocol must survive.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkerFaultPlan {
-    kill_after: Vec<Option<u64>>,
-}
-
-impl WorkerFaultPlan {
-    /// No worker ever dies.
-    pub fn none(shards: usize) -> Self {
-        WorkerFaultPlan {
-            kill_after: vec![None; shards],
-        }
-    }
-
-    /// Kill exactly one shard's worker before its `after`-th message.
-    pub fn kill_shard(shards: usize, shard: usize, after: u64) -> Self {
-        let mut plan = WorkerFaultPlan::none(shards);
-        if shard < shards {
-            plan.kill_after[shard] = Some(after.max(1));
-        }
-        plan
-    }
-
-    /// Seeded plan: each worker dies with probability `kill_probability`
-    /// at an exponentially distributed message count of mean
-    /// `mean_after`.
-    pub fn generate(seed: u64, shards: usize, kill_probability: f64, mean_after: f64) -> Self {
-        let mut kill_after = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let mut rng = SplitMix64::new(mix64(
-                seed ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x3011,
-            ));
-            kill_after.push(if rng.next_f64() < kill_probability.clamp(0.0, 1.0) {
-                Some(1 + rng.next_exp(mean_after.max(1.0)) as u64)
-            } else {
-                None
-            });
-        }
-        WorkerFaultPlan { kill_after }
-    }
-
-    /// The message count before which worker `shard` dies, if any.
-    pub fn kill_after(&self, shard: usize) -> Option<u64> {
-        self.kill_after.get(shard).copied().flatten()
-    }
-
-    /// Whether any worker is scheduled to die.
-    pub fn is_armed(&self) -> bool {
-        self.kill_after.iter().any(|k| k.is_some())
-    }
-}
-
 /// A scheduled *process* crash: the whole service aborts after the
 /// journal has made its `after_events`-th admission event durable.
 ///
-/// Unlike [`WorkerFaultPlan`], which kills one shard thread and lets the
-/// supervisor respawn it, a process crash takes everything down — the
-/// only survivor is the write-ahead journal, which is exactly what
+/// A process crash takes everything down — the only survivor is the
+/// write-ahead journal, which is exactly what
 /// `Service::recover` is tested against. The counter-based trigger makes
 /// the crash point deterministic, so a chaos harness can crash a run at
 /// a known WAL offset and compare the recovered verdict stream against
@@ -527,22 +468,6 @@ mod tests {
         }
         assert!(!LookupFaults::disabled().is_enabled());
         assert!((0..100_000u64).all(|k| !LookupFaults::disabled().fails(k)));
-    }
-
-    #[test]
-    fn worker_plan_is_deterministic_and_targetable() {
-        let a = WorkerFaultPlan::generate(21, 8, 0.5, 50.0);
-        let b = WorkerFaultPlan::generate(21, 8, 0.5, 50.0);
-        assert_eq!(a, b);
-        assert!(WorkerFaultPlan::generate(21, 8, 1.0, 50.0).is_armed());
-        assert!(!WorkerFaultPlan::none(4).is_armed());
-
-        let one = WorkerFaultPlan::kill_shard(4, 2, 10);
-        assert_eq!(one.kill_after(2), Some(10));
-        assert_eq!(one.kill_after(0), None);
-        assert_eq!(one.kill_after(99), None);
-        // A zero message budget still kills before the first message.
-        assert_eq!(WorkerFaultPlan::kill_shard(2, 0, 0).kill_after(0), Some(1));
     }
 
     #[test]

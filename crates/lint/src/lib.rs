@@ -16,8 +16,8 @@
 //! | D2   | no OS randomness (`thread_rng`, ...) | everywhere |
 //! | D3   | no `HashMap`/`HashSet` | replay-critical crates, non-test |
 //! | D4   | no float `==`/`!=`, no `partial_cmp().unwrap()` | replay-critical crates, non-test |
-//! | P1   | no `unwrap`/`expect`/`panic!`/indexing | shard worker (`shard.rs`) |
-//! | P2   | no blocking I/O (`std::fs`, `println!`, stdin) | shard worker (`shard.rs`) |
+//! | P1   | no `unwrap`/`expect`/`panic!`/indexing | fleet state (`fleet.rs`) |
+//! | P2   | no blocking I/O (`std::fs`, `println!`, stdin) | fleet state (`fleet.rs`) |
 //! | C1   | no bare `as` numeric casts | durability codec/record |
 //! | C2   | no `_ =>` arms in `encode`/`decode` matches | durability + storage |
 //! | W1   | journal append precedes ack/execute in source order | service crate |

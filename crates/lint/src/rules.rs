@@ -38,9 +38,9 @@ pub enum Rule {
     /// No float `==`/`!=` or `partial_cmp(..).unwrap()` in
     /// replay-critical crates; use `total_cmp` or epsilon helpers.
     D4,
-    /// No `unwrap`/`expect`/`panic!`/slice-indexing in worker hot paths.
+    /// No `unwrap`/`expect`/`panic!`/slice-indexing in the fleet-state hot path.
     P1,
-    /// No blocking I/O (`std::fs`, `println!`, stdin) in worker hot paths.
+    /// No blocking I/O (`std::fs`, `println!`, stdin) in the fleet-state hot path.
     P2,
     /// No bare `as` narrowing casts in durability codec/record code.
     C1,
@@ -110,8 +110,8 @@ impl Rule {
             Rule::D2 => "no OS randomness; only explicitly seeded generators",
             Rule::D3 => "no default-hasher maps/sets in replay-critical crates",
             Rule::D4 => "no float ==/!= or partial_cmp().unwrap(); use total_cmp or epsilons",
-            Rule::P1 => "no panic paths (unwrap/expect/panic!/indexing) in shard-worker code",
-            Rule::P2 => "no blocking I/O (std::fs, println!, stdin) in shard-worker code",
+            Rule::P1 => "no panic paths (unwrap/expect/panic!/indexing) in fleet-state code",
+            Rule::P2 => "no blocking I/O (std::fs, println!, stdin) in fleet-state code",
             Rule::C1 => "no bare `as` casts in codec/record code; use checked helpers",
             Rule::C2 => "no `_ =>` wildcard arms in encode/decode matches",
             Rule::W1 => "journal append must precede ack/execute in source order",
@@ -199,8 +199,8 @@ impl LintConfig {
     /// The workspace rule set: D1/D2 everywhere (tests included — a
     /// replay test that reads a clock is as nondeterministic as the
     /// code under test), D3/D4 in replay-critical crates, P1/P2 in the
-    /// shard worker (a panic there is a silent shard death; blocking
-    /// I/O there stalls every VM on the shard), C1/C2 in the durability
+    /// fleet state (a panic there kills the admission loop; blocking
+    /// I/O there stalls every admission), C1/C2 in the durability
     /// wire codec, W1 in the service crate (ack before journal means a
     /// crash acks work the recovery cannot see). The bench crate is
     /// wall-clock by nature and exempt from D1.
@@ -233,13 +233,13 @@ impl LintConfig {
                 },
                 Scope {
                     rule: Rule::P1,
-                    include: vec!["crates/service/src/shard.rs".into()],
+                    include: vec!["crates/service/src/fleet.rs".into()],
                     exclude: vec![],
                     applies_to_tests: false,
                 },
                 Scope {
                     rule: Rule::P2,
-                    include: vec!["crates/service/src/shard.rs".into()],
+                    include: vec!["crates/service/src/fleet.rs".into()],
                     exclude: vec![],
                     applies_to_tests: false,
                 },
@@ -701,7 +701,7 @@ fn p1_match(code: &[(&Tok, bool)], i: usize, tok: &Tok) -> Option<String> {
     }
 }
 
-/// P2: blocking I/O in a worker hot path — filesystem calls, console
+/// P2: blocking I/O in the fleet-state hot path — filesystem calls, console
 /// macros (the write is synchronous and takes a process-global lock),
 /// and stdin reads.
 fn p2_match(code: &[(&Tok, bool)], i: usize, tok: &Tok) -> Option<String> {

@@ -162,7 +162,7 @@ fn d3_storage_crate_positive_negative_pair() {
 #[test]
 fn d3_and_d1_overload_crate_positive_negative_pair() {
     // The overload crate re-derives limiter/breaker state from the
-    // journaled verdict stream: an unordered map over shards would let
+    // journaled verdict stream: an unordered map in the plane would let
     // AIMD cut order drift between a live run and its crash recovery,
     // and a wall-clock read would detach queue aging from the virtual
     // clock entirely.
@@ -218,8 +218,8 @@ fn d3_waived_by_pragma() {
 // ---------------------------------------------------------------- P1
 
 #[test]
-fn p1_fires_on_panic_paths_in_shard_worker() {
-    let path = "crates/service/src/shard.rs";
+fn p1_fires_on_panic_paths_in_fleet_state() {
+    let path = "crates/service/src/fleet.rs";
     assert_eq!(
         violations(path, "fn f(x: Option<u32>) -> u32 { x.unwrap() }")[0].snippet,
         ".unwrap()"
@@ -244,7 +244,7 @@ fn p1_fires_on_panic_paths_in_shard_worker() {
 
 #[test]
 fn p1_ignores_non_panicking_lookalikes_and_other_files() {
-    let path = "crates/service/src/shard.rs";
+    let path = "crates/service/src/fleet.rs";
     let benign = "fn f(x: Option<u32>, v: &[u32; 3], w: Vec<u32>) -> u32 {\n\
                   let [a, _b, _c] = *v;\n\
                   let d: [u32; 2] = [1, 2];\n\
@@ -257,7 +257,7 @@ fn p1_ignores_non_panicking_lookalikes_and_other_files() {
         "{:?}",
         violations(path, benign)
     );
-    // The same panicky code outside the shard worker is out of scope.
+    // The same panicky code outside the fleet module is out of scope.
     assert!(violations(
         "crates/service/src/service.rs",
         "fn f(v: &[u32]) -> u32 { v[0] }"
@@ -270,8 +270,9 @@ fn p1_ignores_non_panicking_lookalikes_and_other_files() {
 
 #[test]
 fn p1_waived_by_pragma() {
-    let src = "fn f() {\n    // eavm-lint: allow(P1, reason = \"injected-fault kill switch\")\n    panic!(\"injected\");\n}";
-    let found = scan("crates/service/src/shard.rs", src);
+    let src =
+        "fn f() {\n    // eavm-lint: allow(P1, reason = \"fixture\")\n    panic!(\"injected\");\n}";
+    let found = scan("crates/service/src/fleet.rs", src);
     assert_eq!(found.len(), 1);
     assert!(found[0].waived.is_some());
 }
@@ -431,8 +432,8 @@ fn d4_waived_by_pragma() {
 // ---------------------------------------------------------------- P2
 
 #[test]
-fn p2_fires_on_blocking_io_in_shard_worker() {
-    let path = "crates/service/src/shard.rs";
+fn p2_fires_on_blocking_io_in_fleet_state() {
+    let path = "crates/service/src/fleet.rs";
     assert_eq!(
         violations(path, "fn f() { println!(\"x\"); }")[0].snippet,
         "println!"
@@ -461,17 +462,17 @@ fn p2_fires_on_blocking_io_in_shard_worker() {
 
 #[test]
 fn p2_ignores_formatting_channels_and_other_files() {
-    let path = "crates/service/src/shard.rs";
+    let path = "crates/service/src/fleet.rs";
     // In-memory formatting and channel sends are not blocking I/O.
     assert!(violations(path, "fn f(n: u32) -> String { format!(\"{n}\") }").is_empty());
     assert!(violations(path, "fn f(tx: &Sender<u32>) { let _ = tx.send(1); }").is_empty());
-    // The same I/O outside the shard worker is out of scope.
+    // The same I/O outside the fleet module is out of scope.
     assert!(violations(
         "crates/service/src/service.rs",
         "fn f() { println!(\"x\"); }"
     )
     .is_empty());
-    // Test code in the worker file is exempt.
+    // Test code in the fleet module is exempt.
     let tail = "pub fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { println!(\"t\"); }\n}";
     assert!(violations(path, tail).is_empty());
 }
@@ -479,7 +480,7 @@ fn p2_ignores_formatting_channels_and_other_files() {
 #[test]
 fn p2_waived_by_pragma() {
     let src = "fn f() {\n    // eavm-lint: allow(P2, reason = \"crash-drill breadcrumb\")\n    eprintln!(\"dying\");\n}";
-    let found = scan("crates/service/src/shard.rs", src);
+    let found = scan("crates/service/src/fleet.rs", src);
     assert_eq!(found.len(), 1);
     assert!(found[0].waived.is_some());
 }
@@ -660,7 +661,7 @@ fn json_report_is_byte_deterministic_across_runs() {
         "pub fn g() { let r = thread_rng(); }\n",
     );
     write(
-        "crates/service/src/shard.rs",
+        "crates/service/src/fleet.rs",
         "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n// eavm-lint: allow(P1, reason = \"fixture\")\nfn g() { panic!(\"waived\"); }\n",
     );
     write("src/lib.rs", "pub fn root() {}\n");
@@ -676,7 +677,7 @@ fn json_report_is_byte_deterministic_across_runs() {
         paths,
         [
             "crates/alpha/src/lib.rs",
-            "crates/service/src/shard.rs",
+            "crates/service/src/fleet.rs",
             "crates/zeta/src/lib.rs"
         ]
     );

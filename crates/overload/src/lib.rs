@@ -4,12 +4,11 @@
 //! clock (no wall time anywhere — the same stream of events always
 //! produces the same control decisions):
 //!
-//! * **AIMD concurrency limiter** — one floating admission limit per
-//!   shard. An on-deadline admission raises the involved shards'
-//!   limits additively; a late admission or an overload shed cuts
-//!   multiplicatively. The limit steers routing (prefer under-limit
-//!   shards) and feeds brownout pressure; it never blocks a physically
-//!   feasible placement outright.
+//! * **AIMD concurrency limiter** — one floating fleet-wide admission
+//!   limit on resident VMs. An on-deadline admission raises it
+//!   additively; a late admission or an overload shed cuts it
+//!   multiplicatively. The limit feeds brownout pressure; it never
+//!   blocks a physically feasible placement outright.
 //! * **CoDel-style queue aging** — a parked request whose sojourn has
 //!   exceeded the target for a full interval is shed (`QueueAged`), so
 //!   stale work cannot starve fresh work.
@@ -27,14 +26,14 @@
 //! [`OverloadPlane`] state mutates **only** in the event hooks
 //! ([`on_submit`], [`on_clock`], [`on_admitted`], [`on_shed`]), each of
 //! which corresponds 1:1 to a journaled WAL record. The live
-//! coordinator calls a hook immediately after the matching record is
-//! appended; crash recovery calls the identical hook while replaying
+//! admission loop calls a hook immediately after the matching record
+//! is appended; crash recovery calls the identical hook while replaying
 //! the WAL tail. Plane state is therefore a pure function of the
 //! journaled event stream, and a recovered service re-derives limiter,
 //! breaker, and clock state bit-exactly — nothing is journaled ad hoc.
-//! Decision helpers ([`queue_aged`], [`rung`], [`under_limit`]) are
-//! pure reads used only on the live path; replay re-applies journaled
-//! verdicts and never re-decides.
+//! Decision helpers ([`queue_aged`], [`rung`]) are pure reads used
+//! only on the live path; replay re-applies journaled verdicts and
+//! never re-decides.
 //!
 //! [`on_submit`]: OverloadPlane::on_submit
 //! [`on_clock`]: OverloadPlane::on_clock
@@ -42,7 +41,6 @@
 //! [`on_shed`]: OverloadPlane::on_shed
 //! [`queue_aged`]: OverloadPlane::queue_aged
 //! [`rung`]: OverloadPlane::rung
-//! [`under_limit`]: OverloadPlane::under_limit
 
 #![forbid(unsafe_code)]
 
@@ -143,13 +141,13 @@ impl BreakerState {
 /// [`OverloadConfig::resolve`]); everything else is taken literally.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverloadConfig {
-    /// Starting per-shard admission limit (resident VMs). `0.0` ⇒
-    /// 4 × servers-per-shard at resolve time.
+    /// Starting fleet-wide admission limit (resident VMs). `0.0` ⇒
+    /// 4 × servers at resolve time.
     pub initial_limit: f64,
     /// Floor the multiplicative cut can never go below.
     pub min_limit: f64,
     /// Ceiling the additive raise can never exceed. `0.0` ⇒
-    /// 16 × servers-per-shard at resolve time.
+    /// 16 × servers at resolve time.
     pub max_limit: f64,
     /// Additive raise per on-deadline admission (VM slots).
     pub additive_step: f64,
@@ -192,9 +190,9 @@ impl Default for OverloadConfig {
 }
 
 impl OverloadConfig {
-    /// Fill the `0.0 ⇒ auto` fields from the fleet shape.
-    pub fn resolve(mut self, servers_per_shard: usize) -> Self {
-        let span = servers_per_shard.max(1) as f64;
+    /// Fill the `0.0 ⇒ auto` fields from the fleet size.
+    pub fn resolve(mut self, servers: usize) -> Self {
+        let span = servers.max(1) as f64;
         if self.initial_limit <= 0.0 {
             self.initial_limit = span * 4.0;
         }
@@ -245,8 +243,8 @@ impl OverloadConfig {
 /// service stats and compared byte-for-byte by the recovery tests.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverloadSnapshot {
-    /// Per-shard AIMD admission limits.
-    pub limits: Vec<f64>,
+    /// The fleet-wide AIMD admission limit.
+    pub limit: f64,
     /// Breaker state.
     pub breaker: BreakerState,
     /// Consecutive failing probes while closed.
@@ -266,7 +264,7 @@ pub struct OverloadPlane {
     /// `breaker_rate` mapped onto the u64 range, the same mapping the
     /// lookup-fault predicate uses (1.0 saturates).
     probe_threshold: u64,
-    limits: Vec<f64>,
+    limit: f64,
     breaker: BreakerState,
     streak: u32,
     opened_at: f64,
@@ -275,9 +273,9 @@ pub struct OverloadPlane {
 }
 
 impl OverloadPlane {
-    /// A fresh plane for `shards` shards. `cfg` must already be
-    /// resolved; limits start at `cfg.initial_limit`.
-    pub fn new(cfg: OverloadConfig, shards: usize) -> Self {
+    /// A fresh plane. `cfg` must already be resolved; the limit starts
+    /// at `cfg.initial_limit`.
+    pub fn new(cfg: OverloadConfig) -> Self {
         let rate = cfg.breaker_rate.clamp(0.0, 1.0);
         let probe_threshold = if rate >= 1.0 {
             u64::MAX
@@ -285,7 +283,7 @@ impl OverloadPlane {
             (rate * u64::MAX as f64) as u64
         };
         OverloadPlane {
-            limits: vec![cfg.initial_limit; shards],
+            limit: cfg.initial_limit,
             probe_threshold,
             cfg,
             breaker: BreakerState::Closed,
@@ -320,35 +318,28 @@ impl OverloadPlane {
 
     /// An `Admitted`/`AdmittedCrossShard` record became durable for a
     /// request submitted at `submit` with deadline `deadline`: raise
-    /// the involved shards' limits if the admission sojourn met the
-    /// deadline, cut them otherwise.
-    pub fn on_admitted(&mut self, shards: &[usize], submit: f64, deadline: f64) {
-        let on_time = self.now - submit <= deadline;
-        for &shard in shards {
-            if shard >= self.limits.len() {
-                continue;
-            }
-            if on_time {
-                self.limits[shard] =
-                    (self.limits[shard] + self.cfg.additive_step).min(self.cfg.max_limit);
-            } else {
-                self.limits[shard] =
-                    (self.limits[shard] * self.cfg.multiplicative_cut).max(self.cfg.min_limit);
-            }
+    /// the limit if the admission sojourn met the deadline, cut it
+    /// otherwise.
+    pub fn on_admitted(&mut self, submit: f64, deadline: f64) {
+        if self.now - submit <= deadline {
+            self.limit = (self.limit + self.cfg.additive_step).min(self.cfg.max_limit);
+        } else {
+            self.cut();
         }
     }
 
     /// A `Shed` record became durable. `cuts` is true for overload
-    /// sheds (wait-queue-full, queue-aged): those cut every shard's
-    /// limit. Policy sheds (brownout) must NOT cut — cutting on the
-    /// ladder's own decisions is a positive-feedback death spiral.
+    /// sheds (wait-queue-full, queue-aged): those cut the limit. Policy
+    /// sheds (brownout) must NOT cut — cutting on the ladder's own
+    /// decisions is a positive-feedback death spiral.
     pub fn on_shed(&mut self, cuts: bool) {
-        if !cuts {
-            return;
+        if cuts {
+            self.cut();
         }
-        for limit in &mut self.limits {
-            *limit = (*limit * self.cfg.multiplicative_cut).max(self.cfg.min_limit);
-        }
+    }
+
+    fn cut(&mut self) {
+        self.limit = (self.limit * self.cfg.multiplicative_cut).max(self.cfg.min_limit);
     }
 
     /// Open → HalfOpen once the cooldown has elapsed. Called lazily
@@ -403,15 +394,9 @@ impl OverloadPlane {
         self.now
     }
 
-    /// Current AIMD limit for `shard` (infinite for unknown shards, so
-    /// they never look preferable by accident).
-    pub fn limit(&self, shard: usize) -> f64 {
-        self.limits.get(shard).copied().unwrap_or(f64::INFINITY)
-    }
-
-    /// Whether `shard` is under its AIMD limit at `resident` VMs.
-    pub fn under_limit(&self, shard: usize, resident: usize) -> bool {
-        (resident as f64) < self.limit(shard)
+    /// The current fleet-wide AIMD limit.
+    pub fn limit(&self) -> f64 {
+        self.limit
     }
 
     /// Current breaker state.
@@ -425,19 +410,14 @@ impl OverloadPlane {
         self.now >= parked_at + self.cfg.queue_target + self.cfg.queue_interval
     }
 
-    /// The brownout rung given per-shard resident counts and the wait
-    /// queue's fill. Rung 0: admit everything. Rung 1 (every shard at
-    /// or over its limit, or breaker open): shed Batch. Rung 2 (limit
+    /// The brownout rung given the fleet's resident VM count and the
+    /// wait queue's fill. Rung 0: admit everything. Rung 1 (residents at
+    /// or over the limit, or breaker open): shed Batch. Rung 2 (limit
     /// pressure plus a half-full queue, or both signals): also shed
     /// Standard. Interactive is never brownout-shed at any rung.
-    pub fn rung(&self, residents: &[usize], parked: usize, queue_capacity: usize) -> u8 {
-        let pressured = !residents.is_empty()
-            && residents
-                .iter()
-                .enumerate()
-                .all(|(shard, &resident)| resident as f64 >= self.limit(shard));
+    pub fn rung(&self, resident: usize, parked: usize, queue_capacity: usize) -> u8 {
         let mut rung = 0u8;
-        if pressured {
+        if resident as f64 >= self.limit {
             rung += 1;
             if parked.saturating_mul(2) >= queue_capacity.max(1) {
                 rung += 1;
@@ -473,9 +453,7 @@ impl OverloadPlane {
         out.push(("overload_breaker".into(), self.breaker.index() as u64));
         out.push(("overload_streak".into(), u64::from(self.streak)));
         out.push(("overload_opened_at".into(), self.opened_at.to_bits()));
-        for (shard, limit) in self.limits.iter().enumerate() {
-            out.push((format!("overload_limit_{shard}"), limit.to_bits()));
-        }
+        out.push(("overload_limit".into(), self.limit.to_bits()));
     }
 
     /// Absorb one reserved counter entry; returns `true` when the name
@@ -492,16 +470,8 @@ impl OverloadPlane {
             }
             "streak" => self.streak = u32::try_from(value).unwrap_or(u32::MAX),
             "opened_at" => self.opened_at = f64::from_bits(value),
-            _ => {
-                if let Some(shard) = rest
-                    .strip_prefix("limit_")
-                    .and_then(|s| s.parse::<usize>().ok())
-                {
-                    if shard < self.limits.len() {
-                        self.limits[shard] = f64::from_bits(value);
-                    }
-                }
-            }
+            "limit" => self.limit = f64::from_bits(value),
+            _ => {}
         }
         true
     }
@@ -509,7 +479,7 @@ impl OverloadPlane {
     /// A copy of the controller state for stats and parity tests.
     pub fn snapshot(&self) -> OverloadSnapshot {
         OverloadSnapshot {
-            limits: self.limits.clone(),
+            limit: self.limit,
             breaker: self.breaker,
             breaker_streak: self.streak,
             probes: self.probes,
@@ -573,38 +543,33 @@ mod tests {
 
     #[test]
     fn aimd_raises_additively_and_cuts_multiplicatively() {
-        let mut plane = OverloadPlane::new(resolved(), 2);
+        let mut plane = OverloadPlane::new(resolved());
         plane.on_submit(100.0);
-        // On-deadline admission on shard 0: +1.
-        plane.on_admitted(&[0], 100.0, 1e6);
-        assert_eq!(plane.limit(0), 17.0);
-        assert_eq!(plane.limit(1), 16.0);
-        // Late admission cuts shard 1 by half.
-        plane.on_admitted(&[1], 0.0, 1.0);
-        assert_eq!(plane.limit(1), 8.0);
-        // Overload shed cuts everything; brownout shed cuts nothing.
+        // On-deadline admission: +1.
+        plane.on_admitted(100.0, 1e6);
+        assert_eq!(plane.limit(), 17.0);
+        // Late admission cuts by half.
+        plane.on_admitted(0.0, 1.0);
+        assert_eq!(plane.limit(), 8.5);
+        // Overload shed cuts; brownout shed cuts nothing.
         plane.on_shed(true);
-        assert_eq!(plane.limit(0), 8.5);
-        assert_eq!(plane.limit(1), 4.0);
+        assert_eq!(plane.limit(), 4.25);
         plane.on_shed(false);
-        assert_eq!(plane.limit(0), 8.5);
+        assert_eq!(plane.limit(), 4.25);
     }
 
     #[test]
     fn aimd_limits_are_clamped() {
-        let mut plane = OverloadPlane::new(resolved(), 1);
+        let mut plane = OverloadPlane::new(resolved());
         plane.on_submit(0.0);
         for _ in 0..1000 {
-            plane.on_admitted(&[0], 0.0, 1e9);
+            plane.on_admitted(0.0, 1e9);
         }
-        assert_eq!(plane.limit(0), 64.0);
+        assert_eq!(plane.limit(), 64.0);
         for _ in 0..1000 {
             plane.on_shed(true);
         }
-        assert_eq!(plane.limit(0), 1.0);
-        // Unknown shards are never preferable and never panic.
-        assert_eq!(plane.limit(9), f64::INFINITY);
-        plane.on_admitted(&[9], 0.0, 1e9);
+        assert_eq!(plane.limit(), 1.0);
     }
 
     #[test]
@@ -612,7 +577,7 @@ mod tests {
         let mut cfg = resolved().with_breaker_stream(7, 1.0);
         cfg.breaker_threshold = 3;
         cfg.breaker_cooldown = 100.0;
-        let mut plane = OverloadPlane::new(cfg, 1);
+        let mut plane = OverloadPlane::new(cfg);
         // Every probe fails at rate 1.0: three submits open the breaker.
         plane.on_submit(10.0);
         plane.on_submit(11.0);
@@ -635,7 +600,7 @@ mod tests {
         let mut cfg = resolved().with_breaker_stream(7, 1.0);
         cfg.breaker_threshold = 1;
         cfg.breaker_cooldown = 10.0;
-        let mut plane = OverloadPlane::new(cfg, 1);
+        let mut plane = OverloadPlane::new(cfg);
         plane.on_submit(0.0);
         assert_eq!(plane.breaker(), BreakerState::Open);
         plane.on_clock(20.0);
@@ -650,7 +615,7 @@ mod tests {
 
     #[test]
     fn disabled_breaker_never_trips() {
-        let mut plane = OverloadPlane::new(resolved(), 2);
+        let mut plane = OverloadPlane::new(resolved());
         for i in 0..10_000 {
             plane.on_submit(i as f64);
         }
@@ -660,7 +625,7 @@ mod tests {
 
     #[test]
     fn queue_aging_requires_target_plus_interval() {
-        let mut plane = OverloadPlane::new(resolved(), 1);
+        let mut plane = OverloadPlane::new(resolved());
         plane.on_clock(100.0);
         // target 60 + interval 120 = 180 virtual seconds of sojourn.
         assert!(!plane.queue_aged(100.0));
@@ -672,43 +637,42 @@ mod tests {
 
     #[test]
     fn brownout_ladder_sheds_in_priority_order() {
-        let mut plane = OverloadPlane::new(resolved(), 2);
-        // Under limit: rung 0, nothing shed.
-        assert_eq!(plane.rung(&[3, 3], 0, 8), 0);
+        let mut plane = OverloadPlane::new(resolved());
+        // Under the limit: rung 0, nothing shed, even with a full queue.
+        assert_eq!(plane.rung(15, 0, 8), 0);
+        assert_eq!(plane.rung(15, 8, 8), 0);
         for p in Priority::ALL {
             assert!(!OverloadPlane::sheds_class(0, p));
         }
-        // Every shard at its limit: rung 1, Batch shed.
-        assert_eq!(plane.rung(&[16, 16], 0, 8), 1);
+        // Residents at the limit: rung 1, Batch shed.
+        assert_eq!(plane.rung(16, 0, 8), 1);
         assert!(OverloadPlane::sheds_class(1, Priority::Batch));
         assert!(!OverloadPlane::sheds_class(1, Priority::Standard));
-        // One shard under limit is enough to stay at rung 0.
-        assert_eq!(plane.rung(&[16, 3], 7, 8), 0);
         // Limit pressure plus a half-full queue: rung 2.
-        assert_eq!(plane.rung(&[16, 16], 4, 8), 2);
+        assert_eq!(plane.rung(16, 4, 8), 2);
         assert!(OverloadPlane::sheds_class(2, Priority::Standard));
         assert!(!OverloadPlane::sheds_class(2, Priority::Interactive));
         // An open breaker raises the rung on its own.
         plane.breaker = BreakerState::Open;
-        assert_eq!(plane.rung(&[3, 3], 0, 8), 1);
-        assert_eq!(plane.rung(&[16, 16], 4, 8), 2);
+        assert_eq!(plane.rung(3, 0, 8), 1);
+        assert_eq!(plane.rung(16, 4, 8), 2);
     }
 
     #[test]
     fn save_load_round_trips_bit_exact() {
         let mut cfg = resolved().with_breaker_stream(99, 0.9);
         cfg.breaker_threshold = 2;
-        let mut plane = OverloadPlane::new(cfg.clone(), 3);
+        let mut plane = OverloadPlane::new(cfg.clone());
         for i in 0..40 {
             plane.on_submit(i as f64 * 3.5);
-            plane.on_admitted(&[i % 3], i as f64 * 3.5, if i % 4 == 0 { 0.0 } else { 1e9 });
+            plane.on_admitted(i as f64 * 3.5, if i % 4 == 0 { 0.0 } else { 1e9 });
             if i % 7 == 0 {
                 plane.on_shed(true);
             }
         }
         let mut saved = Vec::new();
         plane.save(&mut saved);
-        let mut restored = OverloadPlane::new(cfg, 3);
+        let mut restored = OverloadPlane::new(cfg);
         for (name, value) in &saved {
             assert!(restored.load(name, *value), "unconsumed entry {name}");
         }
@@ -720,12 +684,12 @@ mod tests {
     #[test]
     fn identical_event_streams_yield_identical_state() {
         let drive = || {
-            let mut plane = OverloadPlane::new(resolved().with_breaker_stream(3, 0.4), 2);
+            let mut plane = OverloadPlane::new(resolved().with_breaker_stream(3, 0.4));
             for i in 0..200u64 {
                 plane.on_submit(i as f64);
                 match i % 5 {
-                    0 => plane.on_admitted(&[0], i as f64, 50.0),
-                    1 => plane.on_admitted(&[0, 1], i as f64 - 100.0, 10.0),
+                    0 => plane.on_admitted(i as f64, 50.0),
+                    1 => plane.on_admitted(i as f64 - 100.0, 10.0),
                     2 => plane.on_shed(true),
                     3 => plane.on_shed(false),
                     _ => plane.on_clock(i as f64 + 0.5),

@@ -10,9 +10,9 @@
 //!   phase-(k−1) stragglers — is honestly charged to phase `k`).
 //!   Policy switches are handled by [`PhasedStrategy`], which routes
 //!   each request to its phase's strategy by request id.
-//! * **Service** — the live sharded service driven *paced*
+//! * **Service** — the live allocation service driven *paced*
 //!   ([`eavm_service::drive_paced`]), one phase chunk at a time, with
-//!   coordinator counter snapshots at every phase boundary; the final
+//!   service counter snapshots at every phase boundary; the final
 //!   phase absorbs the drain so shed-on-drain is attributed somewhere
 //!   explicit. Telemetry is forced off, so the admission-latency column
 //!   is deterministically zero (latency stamps are wall-clock).
@@ -26,7 +26,6 @@ use eavm_core::{
     AllocationStrategy, AnalyticModel, BestFit, DbModel, FirstFit, OptimizationGoal, Placement,
     Proactive, RequestView, ServerView,
 };
-use eavm_faults::WorkerFaultPlan;
 use eavm_migrate::ConsolidationConfig;
 use eavm_overload::OverloadConfig;
 use eavm_service::{drive_paced, AllocService, ServiceConfig, ServiceStats};
@@ -65,8 +64,8 @@ pub struct PhaseRow {
     pub placed: i64,
     /// Requests shed (service mode; the simulator queues instead).
     pub shed: i64,
-    /// VMs restarted after host crashes (simulate) or requests requeued
-    /// past a dead shard (service).
+    /// VMs restarted after host crashes (simulate mode; always 0 in
+    /// service mode).
     pub requeued: i64,
     /// Deadline misses attributed to the window (simulate mode; the
     /// service reports deadline pressure as shed instead).
@@ -354,7 +353,6 @@ fn run_simulate(
 struct SvcCounters {
     placed: i64,
     shed: i64,
-    requeued: i64,
     energy: f64,
     p99: u64,
 }
@@ -372,7 +370,6 @@ impl SvcCounters {
                 + s.shed_shard_failure
                 + s.shed_queue_aged
                 + s.shed_brownout_class) as i64,
-            requeued: s.requeued as i64,
             energy: s.estimated_energy.value(),
             p99: s.admission_latency_us.p99,
         }
@@ -383,7 +380,7 @@ impl SvcCounters {
 /// boundary; the drain (and shutdown) is folded into the final phase.
 fn run_service(compiled: &CompiledScenario, db: &ModelDatabase) -> Result<ScenarioOutcome, String> {
     let spec = &compiled.spec;
-    let mut config = ServiceConfig::new(spec.service.shards, spec.fleet.servers)
+    let mut config = ServiceConfig::new(1, spec.fleet.servers)
         // Telemetry stamps admission latency off the wall clock; a
         // scenario outcome must be a pure function of the file, so the
         // sink is forced off and the p99 column is deterministically 0.
@@ -397,13 +394,6 @@ fn run_service(compiled: &CompiledScenario, db: &ModelDatabase) -> Result<Scenar
     }
     if spec.faults.lookup_failure_rate > 0.0 {
         config = config.with_lookup_faults(compiled.fault_plan.lookup_faults());
-    }
-    if let Some(shard) = spec.faults.kill_shard {
-        config = config.with_worker_faults(WorkerFaultPlan::kill_shard(
-            spec.service.shards,
-            shard,
-            spec.faults.kill_after,
-        ));
     }
     // The service's consolidation regime is global (sweeps are keyed to
     // the virtual clock, not phase windows): the first consolidating
@@ -457,7 +447,7 @@ fn run_service(compiled: &CompiledScenario, db: &ModelDatabase) -> Result<Scenar
                 .sum(),
             placed: current.placed - prev.placed,
             shed: current.shed - prev.shed,
-            requeued: current.requeued - prev.requeued,
+            requeued: 0,
             sla_violations: 0,
             energy_j: current.energy - prev.energy,
             p99_admission_us: current.p99,
@@ -468,7 +458,6 @@ fn run_service(compiled: &CompiledScenario, db: &ModelDatabase) -> Result<Scenar
     let mut total = total_row(compiled);
     total.placed = last.placed;
     total.shed = last.shed;
-    total.requeued = last.requeued;
     total.energy_j = last.energy;
     total.p99_admission_us = last.p99;
     rows.push(total);
@@ -540,13 +529,10 @@ alpha = 0.5
 servers = 8
 
 [service]
-shards = 2
 queue = 64
 
 [faults]
 lookup_failure_rate = 0.05
-kill_shard = 1
-kill_after = 12
 
 [phase.ramp]
 exit_jobs = 20
@@ -595,11 +581,7 @@ vms_max = 2
         assert_eq!(total.placed + total.shed, total.jobs as i64);
         // Telemetry is off, so the latency column is exactly zero.
         assert!(a.rows.iter().all(|r| r.p99_admission_us == 0));
-        // The injected shard kill fired and the service survived it:
-        // conservation above already proves every request still
-        // resolved. Paced batches are single-request, so the worker can
-        // die idle — a requeue is possible but not guaranteed.
-        assert!(total.requeued >= 0);
+        assert!(a.rows.iter().all(|r| r.requeued == 0));
     }
 
     #[test]

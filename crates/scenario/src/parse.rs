@@ -447,8 +447,6 @@ fn build_spec(
             Section::Faults => match a.key.as_str() {
                 "seed" => faults.seed = a.unsigned()?,
                 "lookup_failure_rate" => faults.lookup_failure_rate = a.fraction()?,
-                "kill_shard" => faults.kill_shard = Some(a.count()?),
-                "kill_after" => faults.kill_after = a.unsigned()?,
                 other => {
                     return Err(a.err(
                         ErrorKind::UnknownKey,
@@ -457,7 +455,6 @@ fn build_spec(
                 }
             },
             Section::Service => match a.key.as_str() {
-                "shards" => service.shards = a.count()?,
                 "queue" => service.queue = a.count()?,
                 "cache" => service.cache = a.count()?,
                 other => {
@@ -696,9 +693,6 @@ alpha = 0.5
 [fleet]
 servers = 6
 
-[service]
-shards = 2
-
 [phase.crowd]
 exit_jobs = 40
 mean_gap_s = 4.0
@@ -770,12 +764,10 @@ alpha = 0.5
 servers = 6
 
 [service]
-shards = 2
+queue = 64
 
 [faults]
 lookup_failure_rate = 0.05
-kill_shard = 1
-kill_after = 64
 
 [phase.flood]
 exit_jobs = 50
@@ -783,7 +775,17 @@ mean_gap_s = 5.0
 "#;
         let spec = parse_scenario(text).expect("service scenario");
         assert_eq!(spec.mode, Mode::Service);
-        assert_eq!(spec.service.shards, 2);
-        assert_eq!(spec.faults.kill_shard, Some(1));
+        assert_eq!(spec.service.queue, 64);
+        assert_eq!(spec.faults.lookup_failure_rate, 0.05);
+        // The sharded-fleet knobs are gone: a stale file fails loudly.
+        for stale in ["shards = 2", "kill_shard = 1", "kill_after = 64"] {
+            let section = if stale.starts_with("shards") {
+                "[service]"
+            } else {
+                "[faults]"
+            };
+            let old = text.replace(section, &format!("{section}\n{stale}"));
+            assert_eq!(kind_of(&old), ErrorKind::UnknownKey, "{stale}");
+        }
     }
 }

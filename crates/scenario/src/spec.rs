@@ -18,8 +18,8 @@ pub enum Mode {
     /// full energy/SLA physics, per-phase rows by prefix attribution.
     Simulate,
     /// The online allocation service driven *paced*
-    /// ([`eavm_service::drive_paced`]): admission/shed/requeue
-    /// accounting, per-phase rows from coordinator counter snapshots.
+    /// ([`eavm_service::drive_paced`]): admission/shed accounting,
+    /// per-phase rows from service counter snapshots.
     Service,
 }
 
@@ -206,10 +206,6 @@ pub struct FaultSpec {
     pub seed: u64,
     /// Probability that an individual model lookup transiently fails.
     pub lookup_failure_rate: f64,
-    /// Service mode: kill this shard's worker once…
-    pub kill_shard: Option<usize>,
-    /// …it has served this many mailbox messages.
-    pub kill_after: u64,
 }
 
 impl Default for FaultSpec {
@@ -217,8 +213,6 @@ impl Default for FaultSpec {
         FaultSpec {
             seed: 0xFA17,
             lookup_failure_rate: 0.0,
-            kill_shard: None,
-            kill_after: 16,
         }
     }
 }
@@ -226,18 +220,15 @@ impl Default for FaultSpec {
 /// Service sizing (mode = "service" only).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceSpec {
-    /// Worker shards the fleet is split across.
-    pub shards: usize,
     /// Admission channel / parked queue bound.
     pub queue: usize,
-    /// Per-allocator LRU model-cache capacity.
+    /// LRU model-cache capacity.
     pub cache: usize,
 }
 
 impl Default for ServiceSpec {
     fn default() -> Self {
         ServiceSpec {
-            shards: 4,
             queue: 1024,
             cache: 4096,
         }
@@ -289,38 +280,14 @@ impl ScenarioSpec {
             return Err("qos_factor must exceed 1".into());
         }
         self.validate_policy(&self.policy)?;
-        match self.mode {
-            Mode::Simulate => {
-                if self.faults.kill_shard.is_some() {
-                    return Err("kill_shard needs mode = \"service\"".into());
-                }
+        if self.mode == Mode::Service {
+            if self.fleet.big_nodes > 0 {
+                return Err(
+                    "big_nodes needs mode = \"simulate\" (the service fleet is homogeneous)".into(),
+                );
             }
-            Mode::Service => {
-                if self.fleet.big_nodes > 0 {
-                    return Err(
-                        "big_nodes needs mode = \"simulate\" (the service fleet is homogeneous)"
-                            .into(),
-                    );
-                }
-                if self.service.shards == 0 {
-                    return Err("service needs at least one shard".into());
-                }
-                if let Some(shard) = self.faults.kill_shard {
-                    if shard >= self.service.shards {
-                        return Err(format!(
-                            "kill_shard {shard} out of range (shards = {})",
-                            self.service.shards
-                        ));
-                    }
-                }
-                if self.faults.kill_after == 0 {
-                    return Err("kill_after must be nonzero".into());
-                }
-                if !matches!(self.policy, Policy::Proactive { .. }) {
-                    return Err(
-                        "mode = \"service\" requires the proactive policy (alpha = F)".into(),
-                    );
-                }
+            if !matches!(self.policy, Policy::Proactive { .. }) {
+                return Err("mode = \"service\" requires the proactive policy (alpha = F)".into());
             }
         }
         let hosts = self.fleet.servers + self.fleet.big_nodes;
@@ -424,7 +391,7 @@ impl ScenarioSpec {
         }
         if self.mode == Mode::Service && phase.has_faults() {
             return Err(at("host crash/degradation plans need mode = \"simulate\" \
-                 (service chaos is lookup_failure_rate / kill_shard)"
+                 (service chaos is lookup_failure_rate)"
                 .into()));
         }
         if phase.overload && self.mode != Mode::Service {
@@ -514,16 +481,6 @@ mod tests {
         s.mode = Mode::Service;
         s.fleet.big_nodes = 2;
         assert!(s.validate().unwrap_err().contains("big_nodes"));
-
-        // Simulate mode rejects the worker-kill knob.
-        let mut s = minimal();
-        s.faults.kill_shard = Some(0);
-        assert!(s.validate().unwrap_err().contains("kill_shard"));
-
-        let mut s = minimal();
-        s.mode = Mode::Service;
-        s.faults.kill_shard = Some(9);
-        assert!(s.validate().unwrap_err().contains("out of range"));
     }
 
     #[test]

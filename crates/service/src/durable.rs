@@ -3,7 +3,7 @@
 //!
 //! Three responsibilities live here:
 //!
-//! * `Journal` — the coordinator's handle on the write-ahead log:
+//! * `Journal` — the admission loop's handle on the write-ahead log:
 //!   journal-before-ack appends, checkpoint cadence, snapshot writes,
 //!   and the injected [`CrashSchedule`] that aborts the process after a
 //!   chosen number of events became durable.
@@ -13,7 +13,7 @@
 //!   makes "verdict-log byte equality" a meaningful acceptance test).
 //! * `rebuild` — deterministic re-execution of the WAL tail on top of
 //!   the newest usable snapshot: journaled decisions are re-applied
-//!   through real `ShardCore`s (no search ever re-runs), so finish
+//!   through the real `Fleet` (no search ever re-runs), so finish
 //!   times, retirement instants, and every later verdict come out
 //!   bit-identical to the run that never crashed.
 
@@ -33,8 +33,8 @@ use eavm_swf::VmRequest;
 use eavm_telemetry::{Counter, Telemetry};
 use eavm_types::{EavmError, JobId, Joules, MixVector, Seconds, ServerId, WorkloadType};
 
+use crate::fleet::{Fleet, FleetDump};
 use crate::service::{ShedReason, Verdict};
-use crate::shard::{ShardCore, ShardDump};
 
 /// Durability knobs hung off `ServiceConfig`.
 #[derive(Debug, Clone)]
@@ -48,8 +48,8 @@ pub struct DurabilityConfig {
     /// triggering frame, so recovery always sees it.
     pub crash: Option<CrashSchedule>,
     /// Extra in-process retries for a failed WAL append (with a
-    /// torn-tail repair between attempts) before the coordinator gives
-    /// up and enters read-only degraded mode. Total attempts per record
+    /// torn-tail repair between attempts) before the admission loop
+    /// gives up and enters read-only degraded mode. Total attempts per record
     /// are `1 + append_retries`.
     pub append_retries: u32,
     /// Consecutive checkpoint failures tolerated — each widening the
@@ -240,7 +240,7 @@ impl DurInstruments {
 /// Checkpoint files kept per journal directory (newest N).
 const SNAPSHOTS_KEPT: usize = 2;
 
-/// The coordinator's write side of the journal.
+/// The admission loop's write side of the journal.
 pub(crate) struct Journal {
     storage: Box<dyn Storage>,
     wal: Wal,
@@ -477,7 +477,7 @@ pub(crate) fn rec_to_req(rec: &ReqRec) -> VmRequest {
 }
 
 /// Parked entries snapshot the full request — including the *true*
-/// submit instant and priority class — so a recovered coordinator
+/// submit instant and priority class — so a recovered admission loop
 /// re-derives queue-age and brownout decisions bit-identically.
 pub(crate) fn parked_to_rec(view: &RequestView, submit: Seconds, priority: Priority) -> ReqRec {
     ReqRec {
@@ -549,9 +549,10 @@ pub fn verdict_line(ticket: u64, verdict: &Verdict) -> String {
         .expect("every verdict maps to a line")
 }
 
-pub(crate) fn dump_to_snap(index: usize, dump: &ShardDump) -> ShardSnapRec {
+/// The fleet's checkpoint record: one `ShardSnapRec` at index 0.
+pub(crate) fn dump_to_snap(dump: &FleetDump) -> ShardSnapRec {
     ShardSnapRec {
-        index: index as u32,
+        index: 0,
         clock: dump.clock.0,
         energy: dump.energy.0,
         servers: dump
@@ -568,29 +569,34 @@ pub(crate) fn dump_to_snap(index: usize, dump: &ShardDump) -> ShardSnapRec {
     }
 }
 
-pub(crate) fn snap_to_dump(snap: &ShardSnapRec) -> ShardDump {
-    ShardDump {
-        clock: Seconds(snap.clock),
-        energy: Joules(snap.energy),
-        servers: snap
-            .servers
-            .iter()
-            .map(|srv| {
-                (
-                    ServerId::from(srv.server as usize),
-                    srv.residents
-                        .iter()
-                        .map(|&(ty, finish)| {
-                            (
-                                WorkloadType::from_index(ty as usize % WorkloadType::ALL.len()),
-                                Seconds(finish),
-                            )
-                        })
-                        .collect(),
-                )
-            })
-            .collect(),
+/// The fleet state a snapshot holds. A snapshot with several shard
+/// records (written by a sharded fleet) merges into one: servers in
+/// record order, the latest clock, the summed energy.
+pub(crate) fn snap_to_dump(shards: &[ShardSnapRec]) -> FleetDump {
+    let mut dump = FleetDump {
+        clock: Seconds(0.0),
+        energy: Joules(0.0),
+        servers: Vec::new(),
+    };
+    for snap in shards {
+        dump.clock = dump.clock.max(Seconds(snap.clock));
+        dump.energy += Joules(snap.energy);
+        dump.servers.extend(snap.servers.iter().map(|srv| {
+            (
+                ServerId::from(srv.server as usize),
+                srv.residents
+                    .iter()
+                    .map(|&(ty, finish)| {
+                        (
+                            WorkloadType::from_index(ty as usize % WorkloadType::ALL.len()),
+                            Seconds(finish),
+                        )
+                    })
+                    .collect(),
+            )
+        }));
     }
+    dump
 }
 
 // ---------------------------------------------------------------------
@@ -608,7 +614,7 @@ pub struct RecoveryReport {
     /// Torn/corrupt trailing frames dropped.
     pub torn_frames_dropped: u64,
     /// Requests that were submitted but still undecided at the crash;
-    /// the coordinator re-drives them before serving new traffic.
+    /// the admission loop re-drives them before serving new traffic.
     pub resumed_inflight: usize,
     /// Parked wait-queue entries restored.
     pub restored_parked: usize,
@@ -641,16 +647,16 @@ impl RecoveryReport {
     }
 }
 
-/// Coordinator-side state reconstructed by [`rebuild`].
+/// Admission-loop state reconstructed by [`rebuild`].
 pub(crate) struct Rebuilt {
     pub now: Seconds,
     pub next_ticket: u64,
     /// Parked wait queue in FIFO order: `(ticket, request, parked_at)`.
     pub parked: Vec<(u64, VmRequest, Seconds)>,
     /// Submitted-but-undecided requests in submission order; the
-    /// coordinator re-drives them as its first batch.
+    /// admission loop re-drives them before any new traffic.
     pub resume: Vec<(u64, VmRequest)>,
-    /// Coordinator counter values (snapshot baseline plus tail replay).
+    /// Counter values (snapshot baseline plus tail replay).
     pub counters: Vec<(String, u64)>,
     /// Consolidation hysteresis, restored from the snapshot's reserved
     /// `consolidation_cooldown_<host>` counter entries and advanced by
@@ -658,49 +664,47 @@ pub(crate) struct Rebuilt {
     /// sweep plans exactly what the crashed process would have.
     pub hysteresis: Hysteresis,
     /// The journal ends on a *decision* frame: the crashed process had
-    /// finished a control round but its boundary `Migrate` frame (if a
-    /// sweep was due) may have been lost to the crash. The coordinator
+    /// finished a request but its boundary `Migrate` frame (if a sweep
+    /// was due) may have been lost to the crash. The admission loop
     /// must re-check consolidation before serving any new traffic —
     /// the live run swept before its next admission, so the recovered
-    /// one must too. When the journal instead ends mid-round (a
+    /// one must too. When the journal instead ends mid-request (a
     /// trailing `Submit` leaves in-flight work to re-drive, a trailing
     /// `Clock` sits inside a drain/advance), the normal boundary after
-    /// the resumed round re-checks at the same virtual instant the
+    /// the resumed request re-checks at the same virtual instant the
     /// crashed process would have.
     pub pending_sweep: bool,
-    /// The crashed round retired resident VMs — via a mid-round `Clock`
-    /// or a fast-path admission's routed-shard advance — but its
-    /// post-batch parked-retry pass is not in the journal. The live
-    /// round follows such a retirement with `advance(now)` plus a
-    /// parked retry once its batch decisions land (`process_batch`
-    /// tail), but the recovered coordinator cannot observe it: the
+    /// The crashed request retired resident VMs — via a mid-request
+    /// `Clock` or the unjournaled advance to an admitted request's
+    /// submit instant — but its parked-retry pass is not in the
+    /// journal. The live loop follows such a retirement with
+    /// `advance(now)` plus a parked retry once the decision lands (the
+    /// tail of `admit`), but the recovered loop cannot observe it: the
     /// rebuild already applied the retirement, so both the re-driven
-    /// resume batch and the startup retry would see zero freed capacity
-    /// (and possibly an unsynced fleet) and land differently than the
-    /// crashed process. The coordinator re-runs `advance(now)` plus the
-    /// retry pass explicitly when this flag is set. Cleared when a
-    /// journaled post-decision `Clock` (the fleet-wide sync) or a new
-    /// round's `Submit` shows the debt was already consumed.
+    /// request and the startup retry would see zero freed capacity and
+    /// land differently than the crashed process. The loop re-runs
+    /// `advance(now)` plus the retry pass explicitly when this flag is
+    /// set. Cleared when a journaled post-decision `Clock` or the next
+    /// request's `Submit` shows the debt was already consumed.
     pub tail_retired: bool,
     pub frames_replayed: u64,
 }
 
 // Ordered map so recovery bookkeeping (and the counter Vec handed to
-// `CoordInstruments::seed`) never depends on hash-iteration order.
+// `Instruments::seed`) never depends on hash-iteration order.
 fn bump(counters: &mut BTreeMap<String, u64>, name: &str, n: u64) {
     *counters.entry(name.to_string()).or_insert(0) += n;
 }
 
-/// Deterministically re-execute a recovered journal into fresh shard
-/// cores. Snapshot state loads directly (bit-exact finish times); the
-/// WAL tail replays journaled *decisions* through the same core methods
-/// the live run used — `advance_to` at each journaled instant, then
-/// `apply_committed` for each admission — so no search re-runs and the
-/// resulting fleet state matches the crashed process exactly.
+/// Deterministically re-execute a recovered journal into a fresh
+/// fleet. Snapshot state loads directly (bit-exact
+/// finish times); the WAL tail replays journaled *decisions* through
+/// the same fleet methods the live run used — `advance_to` at each
+/// journaled instant, then `commit` for each admission — so no search
+/// re-runs and the resulting fleet matches the crashed process exactly.
 pub(crate) fn rebuild(
     state: &RecoveredState,
-    cores: &mut [ShardCore],
-    layout: &[std::ops::Range<usize>],
+    fleet: &mut Fleet,
     consolidation: Option<&ConsolidationConfig>,
     mut plane: Option<&mut OverloadPlane>,
 ) -> Rebuilt {
@@ -708,7 +712,6 @@ pub(crate) fn rebuild(
     let mut now = Seconds(0.0);
     let mut next_ticket = 0u64;
     let mut parked: Vec<(u64, VmRequest, Seconds)> = Vec::new();
-    let n_servers = layout.last().map(|r| r.end).unwrap_or(0);
     let mut saved_cooldowns: Vec<(usize, u32)> = Vec::new();
 
     if let Some(snap) = &state.snapshot {
@@ -716,8 +719,8 @@ pub(crate) fn rebuild(
         next_ticket = snap.next_ticket;
         for (name, value) in &snap.counters {
             // Reserved names carry hysteresis cooldowns, not counters;
-            // strip them here so `CoordInstruments::seed` never sees
-            // them and a later checkpoint re-emits them fresh.
+            // strip them here so `Instruments::seed` never sees them and
+            // a later checkpoint re-emits them fresh.
             if let Some(host) = name
                 .strip_prefix("consolidation_cooldown_")
                 .and_then(|s| s.parse::<usize>().ok())
@@ -736,11 +739,8 @@ pub(crate) fn rebuild(
             }
             bump(&mut counters, name, *value);
         }
-        for shard in &snap.shards {
-            let index = shard.index as usize;
-            if index < cores.len() {
-                cores[index].load_dump(&snap_to_dump(shard));
-            }
+        if !snap.shards.is_empty() {
+            fleet.load_dump(&snap_to_dump(&snap.shards));
         }
         parked.extend(
             snap.parked
@@ -749,9 +749,7 @@ pub(crate) fn rebuild(
         );
     }
 
-    let shard_of =
-        |server: usize| -> usize { layout.iter().position(|r| r.contains(&server)).unwrap_or(0) };
-    let mut hysteresis = Hysteresis::restore(n_servers, &saved_cooldowns);
+    let mut hysteresis = Hysteresis::restore(fleet.mixes().count(), &saved_cooldowns);
     // Submitted-but-undecided requests, in submission order.
     let mut pending: Vec<(u64, VmRequest)> = Vec::new();
     let mut pending_sweep = false;
@@ -766,10 +764,10 @@ pub(crate) fn rebuild(
         );
         match record {
             WalRecord::Submit { ticket, req } => {
-                // A submit on an empty pending set opens a new batch
-                // round; retirement owed by the previous round was
-                // either consumed by its journaled retry pass or
-                // skipped (nothing parked), so the debt never carries.
+                // A submit on an empty pending set opens a new request;
+                // retirement owed by the previous one was either
+                // consumed by its journaled retry pass or skipped
+                // (nothing parked), so the debt never carries.
                 if pending.is_empty() {
                     tail_retired = false;
                 }
@@ -793,45 +791,37 @@ pub(crate) fn rebuild(
                 if let Some(plane) = plane.as_deref_mut() {
                     plane.on_clock(t.0);
                 }
-                let mut retired = 0usize;
-                for core in cores.iter_mut() {
-                    retired += core.advance_to(t).0;
-                }
+                let retired = fleet.advance_to(t);
                 if pending.is_empty() {
-                    // The round's post-decision fleet-wide advance (or
-                    // a drain/AdvanceTo) made it to the journal: every
-                    // shard is synced here, so the retry pass the
-                    // coordinator runs at startup needs no re-advance.
+                    // The request's post-decision sync (or a
+                    // drain/AdvanceTo) made it to the journal, so the
+                    // retry pass the loop runs at startup needs no
+                    // re-advance.
                     tail_retired = false;
                 } else if retired > 0 {
-                    // Mid-round advance: the re-driven resume batch
-                    // cannot observe this retirement (it is already
-                    // applied), so the coordinator must re-run the
-                    // retry pass the crashed process was about to.
+                    // Mid-request advance: the re-driven request cannot
+                    // observe this retirement (it is already applied),
+                    // so the loop must re-run the retry pass the
+                    // crashed process was about to.
                     tail_retired = true;
                 }
             }
             WalRecord::Admitted {
-                ticket,
-                shard,
-                placements,
+                ticket, placements, ..
             } => {
                 let request = pending
                     .iter()
                     .position(|(t, _)| t == ticket)
                     .map(|i| pending.remove(i).1);
                 let submit = request.as_ref().map(|r| r.submit).unwrap_or(now);
-                if let Some(core) = cores.get_mut(*shard as usize) {
-                    // The live fast path advances the routed shard to
-                    // the request's submit instant before placing; any
-                    // capacity that advance freed fed the live round's
-                    // `retired` count and would have triggered a
-                    // post-batch parked-retry pass.
-                    if core.advance_to(submit).0 > 0 {
-                        tail_retired = true;
-                    }
-                    core.apply_committed(&recs_to_placements(placements));
+                // The live loop advances the fleet to the request's
+                // submit instant before searching; any capacity that
+                // advance freed triggers the retry pass after the
+                // decision.
+                if fleet.advance_to(submit) > 0 {
+                    tail_retired = true;
                 }
+                fleet.commit(&recs_to_placements(placements));
                 bump(&mut counters, "admitted_local", 1);
                 if let Some(request) = request {
                     bump(
@@ -840,14 +830,12 @@ pub(crate) fn rebuild(
                         1,
                     );
                     if let Some(plane) = plane.as_deref_mut() {
-                        plane.on_admitted(&[*shard as usize], request.submit.0, request.deadline.0);
+                        plane.on_admitted(request.submit.0, request.deadline.0);
                     }
                 }
             }
             WalRecord::AdmittedCrossShard {
-                ticket,
-                shards,
-                placements,
+                ticket, placements, ..
             } => {
                 let request = if let Some(i) = parked.iter().position(|(t, _, _)| t == ticket) {
                     let (_, request, _) = parked.remove(i);
@@ -859,22 +847,7 @@ pub(crate) fn rebuild(
                         .position(|(t, _)| t == ticket)
                         .map(|i| pending.remove(i).1)
                 };
-                let placements = recs_to_placements(placements);
-                // Ordered by shard index: replayed `apply_committed`
-                // calls happen in the same deterministic order on every
-                // recovery of the same journal.
-                let mut per_shard: BTreeMap<usize, Vec<Placement>> = BTreeMap::new();
-                for p in &placements {
-                    per_shard
-                        .entry(shard_of(p.server.index()))
-                        .or_default()
-                        .push(*p);
-                }
-                for (shard, group) in per_shard {
-                    if let Some(core) = cores.get_mut(shard) {
-                        core.apply_committed(&group);
-                    }
-                }
+                fleet.commit(&recs_to_placements(placements));
                 bump(&mut counters, "admitted_cross_shard", 1);
                 if let Some(request) = request {
                     bump(
@@ -883,8 +856,7 @@ pub(crate) fn rebuild(
                         1,
                     );
                     if let Some(plane) = plane.as_deref_mut() {
-                        let involved: Vec<usize> = shards.iter().map(|&s| s as usize).collect();
-                        plane.on_admitted(&involved, request.submit.0, request.deadline.0);
+                        plane.on_admitted(request.submit.0, request.deadline.0);
                     }
                 }
             }
@@ -898,9 +870,9 @@ pub(crate) fn rebuild(
                     parked.push((ticket, request, now));
                 }
             }
-            WalRecord::Requeued { .. } => {
-                bump(&mut counters, "requeued", 1);
-            }
+            // An interim verdict this version never writes: nothing to
+            // replay.
+            WalRecord::Requeued { .. } => {}
             WalRecord::Migrate {
                 epoch,
                 t,
@@ -931,20 +903,14 @@ pub(crate) fn rebuild(
                         to: to.index(),
                         ty,
                     });
-                    let Some(finish) = cores
-                        .get_mut(shard_of(from.index()))
-                        .and_then(|core| core.drain_vm(from, ty))
-                    else {
+                    let Some(finish) = fleet.drain_vm(from, ty) else {
                         continue;
                     };
-                    let landed = cores
-                        .get_mut(shard_of(to.index()))
-                        .is_some_and(|core| core.inject_vm(to, ty, finish + stall));
-                    if landed {
+                    if fleet.inject_vm(to, ty, finish + stall) {
                         executed += 1;
                         drained.insert(from.index());
-                    } else if let Some(core) = cores.get_mut(shard_of(from.index())) {
-                        core.inject_vm(from, ty, finish);
+                    } else {
+                        fleet.inject_vm(from, ty, finish);
                     }
                 }
                 hysteresis.commit(

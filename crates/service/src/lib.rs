@@ -13,47 +13,46 @@
 //!   `(resident mix ⊎ pending block)` keys over and over — the cache
 //!   (keyed on the packed [`eavm_core::MixKey`]) turns each repeat
 //!   into an O(1) hit and counts hits/misses/evictions.
-//! * [`shard`] — the fleet is split into contiguous server groups, each
-//!   owned exclusively by one `std::thread` worker with its own
-//!   memoized allocator; shards expose a message protocol with a
-//!   fast-path `TryLocal` and a two-phase `Reserve`/`Commit`/`Abort`
-//!   sequence for placements that must span shards atomically.
-//! * [`service`] — [`service::AllocService`]: bounded-queue admission
-//!   (blocking backpressure or shed-on-full), batched round-robin
-//!   fast-path dispatch, the serial cross-shard slow path with
-//!   optimistic validation and rollback, a parked FIFO wait queue tied
-//!   to the virtual clock, and a per-ticket [`service::Verdict`]
-//!   stream.
+//! * `fleet` — every server's placement state plus the one memoized
+//!   allocator that searches it: plain single-threaded state with
+//!   search, commit, clock-advance, migration and checkpoint
+//!   operations.
+//! * [`service`] — [`service::AllocService`]: one deterministic
+//!   single-writer admission loop on one thread. It owns the fleet
+//!   and takes requests one at a time, in arrival order: journal the
+//!   submission, brownout check, advance the clock to the submit
+//!   instant, search the whole fleet, then place, park in a FIFO wait
+//!   queue or shed, journal the verdict and ack it on a per-ticket
+//!   [`service::Verdict`] stream. Admission is bounded (blocking
+//!   backpressure or shed-on-full).
 //!
-//! The service is **self-healing**: shard workers are supervised
-//! through their channels, so a dead worker (including one killed by an
-//! injected [`eavm_faults::WorkerFaultPlan`]) surfaces as an explicit
-//! failure, is respawned from the coordinator's fleet mirror, and its
-//! in-flight requests are requeued ([`service::Verdict::Requeued`]) —
-//! every submission still resolves to exactly one final verdict.
-//! Injected transient model-lookup failures
-//! ([`eavm_faults::LookupFaults`]) degrade to the analytic estimate via
-//! [`eavm_core::ResilientModel`] and are counted as `model_fallbacks`.
+//! Because one thread decides one request at a time, the verdict
+//! stream is a pure function of the request sequence: every driving
+//! mode ([`replay_online`], [`drive_paced`], journaled or not) yields
+//! the same verdict log, and [`service::AllocService::recover`] replays
+//! a crashed journal back to it. Injected transient model-lookup
+//! failures ([`eavm_faults::LookupFaults`]) degrade to the analytic
+//! estimate via [`eavm_core::ResilientModel`] and are counted as
+//! `model_fallbacks`.
 //!
-//! [`deterministic::replay_deterministic`] is the single-threaded
-//! reference mode: the same memoized allocator driven by the
-//! discrete-event engine, reproducing `Simulation::run` exactly (the
-//! memo layer is provably invisible to allocation decisions — the
-//! `service_replay` integration test pins this down).
+//! [`deterministic::replay_deterministic`] is the discrete-event
+//! reference mode: the same memoized allocator driven by the simulator
+//! engine, reproducing `Simulation::run` exactly (the memo layer is
+//! provably invisible to allocation decisions — the `service_replay`
+//! integration test pins this down).
 
 #![forbid(unsafe_code)]
 
 pub mod deterministic;
 pub mod durable;
+mod fleet;
 pub mod memo;
 pub mod service;
-pub mod shard;
 
 pub use deterministic::{replay_deterministic, DeterministicConfig};
 pub use durable::{verdict_line, DurabilityConfig, DurabilityStats, RecoveryReport};
 pub use memo::{CacheMetrics, CacheStats, MemoModel};
 pub use service::{
-    drive_paced, replay_online, replay_online_paced, AllocService, DrainReport, ReplayReport,
-    ServiceConfig, ServiceStats, ShedReason, SubmitOutcome, Verdict,
+    drive_paced, replay_online, AllocService, DrainReport, ReplayReport, ServiceConfig,
+    ServiceStats, ShedReason, SubmitOutcome, Verdict,
 };
-pub use shard::ShardStats;

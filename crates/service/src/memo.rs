@@ -26,10 +26,10 @@ use eavm_types::{EavmError, Joules, MixVector, Seconds, Watts, WorkloadType};
 ///
 /// The default ([`CacheMetrics::standalone`]) is a private set of real
 /// counters, so a bare [`LruCache::new`] still counts — registry-backed
-/// services instead hand every shard's cache the *same* telemetry
-/// counters with a distinct stripe each, making the registry the single
-/// source of truth while [`LruCache::stats`] keeps reporting per-cache
-/// numbers off its own stripe.
+/// services instead hand their cache the registry's telemetry counters
+/// (several caches may share them, one stripe each), making the
+/// registry the single source of truth while [`LruCache::stats`] keeps
+/// reporting per-cache numbers off its own stripe.
 #[derive(Debug, Clone)]
 pub struct CacheMetrics {
     /// Lookup hits.
@@ -84,16 +84,6 @@ impl CacheStats {
         } else {
             self.hits as f64 / total as f64
         }
-    }
-
-    /// Merge another cache's counters (capacities add; for aggregate
-    /// reporting across shards).
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.len += other.len;
-        self.capacity += other.capacity;
     }
 }
 
@@ -245,8 +235,8 @@ impl LruCache {
 /// cached estimate; `power`, `solo_time`, `max_mix`, and `cpu_slots`
 /// delegate (the search path never calls them per-candidate).
 ///
-/// Not `Sync`: each shard worker (and the coordinator) owns its own
-/// instance, so the cache needs no locking.
+/// Not `Sync`: the service's admission loop owns its instance, so the
+/// cache needs no locking.
 #[derive(Debug)]
 pub struct MemoModel<M> {
     inner: M,

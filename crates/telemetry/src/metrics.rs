@@ -7,7 +7,7 @@
 //! are relaxed atomics, and a *sharded* counter spreads its hot
 //! increments across cache-line-padded stripes so independent worker
 //! threads never contend on one cache line — while still exposing both
-//! the per-stripe value (one stripe per service shard) and the sum.
+//! the per-stripe value (one stripe per writer) and the sum.
 //!
 //! Reads are snapshots: [`Registry::snapshot`] walks the sorted
 //! instrument map, so exports are deterministic in ordering regardless

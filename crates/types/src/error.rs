@@ -22,12 +22,10 @@ pub enum EavmError {
     Infeasible(String),
     /// Configuration that is internally inconsistent.
     InvalidConfig(String),
-    /// A required subsystem (coordinator, shard worker) is down or
-    /// unreachable; the operation cannot produce a trustworthy answer.
+    /// A required subsystem (such as the service's admission loop) is
+    /// down or unreachable; the operation cannot produce a trustworthy
+    /// answer.
     Unavailable(String),
-    /// A specific shard worker is down and could not be revived; the
-    /// shard index makes supervision failures attributable in logs.
-    ShardDown { shard: usize, detail: String },
     /// The write-ahead journal or a checkpoint snapshot is malformed
     /// (bad magic, checksum mismatch, undecodable record).
     Durability(String),
@@ -42,9 +40,6 @@ impl fmt::Display for EavmError {
             EavmError::Infeasible(msg) => write!(f, "infeasible allocation: {msg}"),
             EavmError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             EavmError::Unavailable(msg) => write!(f, "subsystem unavailable: {msg}"),
-            EavmError::ShardDown { shard, detail } => {
-                write!(f, "shard {shard} down: {detail}")
-            }
             EavmError::Durability(msg) => write!(f, "durability error: {msg}"),
         }
     }
@@ -85,14 +80,9 @@ mod tests {
         assert!(EavmError::InvalidConfig("c".into())
             .to_string()
             .contains("configuration"));
-        assert!(EavmError::Unavailable("shard 3".into())
+        assert!(EavmError::Unavailable("admission loop".into())
             .to_string()
             .contains("unavailable"));
-        let down = EavmError::ShardDown {
-            shard: 3,
-            detail: "worker died twice".into(),
-        };
-        assert_eq!(down.to_string(), "shard 3 down: worker died twice");
         assert!(EavmError::Durability("bad magic".into())
             .to_string()
             .contains("durability"));

@@ -55,7 +55,7 @@
 //! | [`durability`] | write-ahead admission journal, checkpoint snapshots, scrubbing, crash recovery |
 //! | [`migrate`] | live-migration pre-copy cost model + threshold consolidation policy |
 //! | [`overload`] | deterministic overload control: AIMD limits, queue-age shedding, circuit breaker, brownout |
-//! | [`service`] | online concurrent allocation service (sharded fleet, batched admission) |
+//! | [`service`] | online allocation service (one deterministic single-writer admission loop) |
 //!
 //! The `eavm-bench` crate (not re-exported) regenerates every table and
 //! figure of the paper; see `EXPERIMENTS.md`.

@@ -1,6 +1,6 @@
 //! Acceptance tests for the adaptive overload-control plane.
 //!
-//! The headline guarantee: under a paced 4×-capacity flash crowd the
+//! The headline guarantee: under a 4×-capacity flash crowd the
 //! brownout ladder sheds Batch-class work first and Interactive-class
 //! goodput stays at or above 90% of its offered load, while the whole
 //! run — AIMD limits, queue aging, breaker probes included — remains a
@@ -14,7 +14,7 @@ use std::sync::Arc;
 use eavm::durability::{read_frames, recover_dir, wal_path, Wal};
 use eavm::prelude::*;
 use eavm::service::{
-    drive_paced, replay_online_paced, AllocService, DurabilityConfig, ServiceConfig, ServiceStats,
+    drive_paced, replay_online, AllocService, DurabilityConfig, ServiceConfig, ServiceStats,
 };
 use eavm::telemetry::Telemetry;
 use proptest::prelude::*;
@@ -37,8 +37,8 @@ fn classed(id: u32, submit: f64, priority: Priority, vms: u32) -> VmRequest {
     }
 }
 
-/// A 4×-capacity flash crowd against a 2-shard, 4-server fleet (CPU
-/// bound 10 per server ⇒ 40 VMs fleet-wide): a calm warm-up, then 150
+/// A 4×-capacity flash crowd against a 4-server fleet (CPU bound 10
+/// per server ⇒ 40 VMs fleet-wide): a calm warm-up, then 150
 /// single-VM requests arriving every 5 virtual seconds — 90 Batch, 40
 /// Standard, 20 Interactive, interleaved so every class keeps arriving
 /// throughout the spike. 158 offered VMs ≈ 4× the 40-slot capacity.
@@ -72,7 +72,7 @@ fn flash_crowd() -> Vec<VmRequest> {
 }
 
 /// The flash-crowd service config. The AIMD ceiling is pinned below
-/// physical capacity (12 VMs/shard vs the 20 the OS bounds allow) so
+/// physical capacity (24 VMs vs the 40 the OS bounds allow) so
 /// the ladder's pressure signal engages deterministically mid-spike:
 /// AIMD raises track admissions one-for-one, so with an uncapped limit
 /// the rung would only engage after a congestion cut. The park queue
@@ -81,11 +81,11 @@ fn flash_crowd() -> Vec<VmRequest> {
 /// generous enough that parked Interactive work survives to its
 /// admit-after-wait instead of aging out.
 fn overload_config() -> ServiceConfig {
-    let mut config = ServiceConfig::new(2, 4);
+    let mut config = ServiceConfig::new(1, 4);
     config.queue_capacity = 32;
     config.deadlines = [Seconds(1e7), Seconds(1e7), Seconds(1e7)];
     config.overload = Some(OverloadConfig {
-        max_limit: 12.0,
+        max_limit: 24.0,
         queue_target: 7200.0,
         queue_interval: 7200.0,
         ..OverloadConfig::default()
@@ -135,7 +135,10 @@ fn flash_crowd_sheds_batch_first_and_preserves_interactive_goodput() {
     // The AIMD plane observed the run and the counters conserve: every
     // submission resolved to exactly one final verdict.
     let overload = stats.overload.as_ref().expect("plane armed");
-    assert_eq!(overload.limits.len(), 2);
+    assert!(
+        (1.0..=24.0).contains(&overload.limit),
+        "limit escaped its clamp: {overload:?}"
+    );
     let finals = stats.admitted_local
         + stats.admitted_cross_shard
         + stats.shed_admission
@@ -193,13 +196,13 @@ fn seeded_crowd(seed: u64) -> Vec<VmRequest> {
 /// and a lossy breaker probe stream, so limiter cuts, aged sheds,
 /// brownout sheds, and breaker transitions all reach the WAL.
 fn stress_config(dir: &Path, seed: u64, telemetry: Arc<Telemetry>) -> ServiceConfig {
-    let mut config = ServiceConfig::new(2, 2)
+    let mut config = ServiceConfig::new(1, 2)
         .with_durability(DurabilityConfig::new(dir.to_path_buf()).with_checkpoint_every(4))
         .with_telemetry(telemetry);
     config.queue_capacity = 4;
     config.overload = Some(
         OverloadConfig {
-            max_limit: 4.0,
+            max_limit: 8.0,
             queue_target: 120.0,
             queue_interval: 120.0,
             breaker_threshold: 3,
@@ -227,9 +230,9 @@ fn check_overload_purity(seed: u64) {
     let db = DbBuilder::exact().build().expect("db");
     let requests = seeded_crowd(seed);
 
-    // Control: telemetry off, journaled, paced.
+    // Control: telemetry off, journaled.
     let ctrl = tmp(&format!("ctrl-{seed}"));
-    let report = replay_online_paced(
+    let report = replay_online(
         &db,
         stress_config(&ctrl, seed, Telemetry::disabled()),
         &requests,
@@ -240,9 +243,8 @@ fn check_overload_purity(seed: u64) {
 
     // Telemetry on: instruments observe, decisions must not move.
     let tel = tmp(&format!("tel-{seed}"));
-    let report_tel =
-        replay_online_paced(&db, stress_config(&tel, seed, Telemetry::new()), &requests)
-            .expect("telemetry run");
+    let report_tel = replay_online(&db, stress_config(&tel, seed, Telemetry::new()), &requests)
+        .expect("telemetry run");
     assert_eq!(
         &journal_lines(&tel),
         &control,
