@@ -30,32 +30,44 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> eavm lint --deny (workspace invariant checker)"
-# Statically enforces the determinism/panic-safety/codec invariants
-# (DESIGN.md §10, §15). Any unwaived violation — including deleting the
-# reason from an existing allow-pragma, or leaving a pragma whose line
-# no longer violates — fails the gate.
-cargo run --release -q -p eavm-cli -- lint --deny
+echo "==> clippy.toml canary (every disallowed path still resolves)"
+# The workspace invariants (DESIGN.md §10) ride on the clippy step
+# above. clippy only warns about a `clippy.toml` path it cannot
+# resolve, and that warning survives `-D warnings`, so a typo would
+# silently switch a rule off. A one-file crate using every disallowed
+# item must fail clippy under the repo's configuration, naming each.
+CANARY_DIR="$(mktemp -d)"
+TMP_DIRS+=("$CANARY_DIR")
+mkdir "$CANARY_DIR/src"
+cat > "$CANARY_DIR/Cargo.toml" <<'TOML'
+[package]
+name = "clippy-canary"
+version = "0.0.0"
+edition = "2021"
 
-echo "==> eavm lint report determinism (json + sarif byte-diff)"
-# The linter scans files in parallel; the merged report must not care.
-# Run each machine format twice and byte-diff — the same drill the
-# scenario library gets. The SARIF copy is kept under target/ so the
-# workflow can upload it as an artifact.
-LINT_DIR="$(mktemp -d)"
-TMP_DIRS+=("$LINT_DIR")
-cargo run --release -q -p eavm-cli -- lint --format json  > "$LINT_DIR/lint.1.json"
-cargo run --release -q -p eavm-cli -- lint --format json  > "$LINT_DIR/lint.2.json"
-cmp "$LINT_DIR/lint.1.json" "$LINT_DIR/lint.2.json" \
-    || { echo "lint: json report not byte-deterministic"; \
-         diff "$LINT_DIR/lint.1.json" "$LINT_DIR/lint.2.json" | head -20; exit 1; }
-cargo run --release -q -p eavm-cli -- lint --format sarif > "$LINT_DIR/lint.1.sarif"
-cargo run --release -q -p eavm-cli -- lint --format sarif > "$LINT_DIR/lint.2.sarif"
-cmp "$LINT_DIR/lint.1.sarif" "$LINT_DIR/lint.2.sarif" \
-    || { echo "lint: sarif report not byte-deterministic"; \
-         diff "$LINT_DIR/lint.1.sarif" "$LINT_DIR/lint.2.sarif" | head -20; exit 1; }
-mkdir -p target
-cp "$LINT_DIR/lint.1.sarif" target/eavm-lint.sarif
+[workspace]
+TOML
+cat > "$CANARY_DIR/src/lib.rs" <<'RUST'
+pub fn canary() {
+    let _ = std::time::Instant::now();
+    let _ = std::time::SystemTime::now();
+    let _: std::collections::HashMap<u8, u8> = std::collections::HashMap::new();
+    let _: std::collections::HashSet<u8> = std::collections::HashSet::new();
+    let _ = std::collections::hash_map::RandomState::new();
+}
+RUST
+if CANARY_OUT="$(CLIPPY_CONF_DIR="$PWD" cargo clippy --quiet \
+        --manifest-path "$CANARY_DIR/Cargo.toml" \
+        --target-dir "$CANARY_DIR/target" -- -D warnings 2>&1)"; then
+    echo "clippy canary: a crate using every disallowed item passed"; exit 1
+fi
+for item in std::time::Instant::now std::time::SystemTime::now \
+        std::collections::HashMap std::collections::HashSet \
+        std::collections::hash_map::RandomState; do
+    grep -q "disallowed [a-z]* \`$item\`" <<< "$CANARY_OUT" \
+        || { echo "clippy canary: $item is not disallowed (clippy.toml typo?)"; \
+             echo "$CANARY_OUT"; exit 1; }
+done
 
 echo "==> cargo bench --no-run"
 cargo bench --no-run --workspace

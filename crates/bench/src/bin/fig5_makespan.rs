@@ -19,7 +19,7 @@ fn main() {
 
     let outcomes = p.run_matrix().expect("matrix");
     let mut t = Table::new(vec!["cloud", "strategy", "makespan_s", "vs FF (%)"]);
-    let mut ff_per_cloud = std::collections::HashMap::new();
+    let mut ff_per_cloud = std::collections::BTreeMap::new();
     for o in &outcomes {
         if o.strategy == "FF" {
             ff_per_cloud.insert(o.cloud.clone(), o.makespan().value());

@@ -18,7 +18,7 @@ fn main() {
         "static_share",
         "vs FF (%)",
     ]);
-    let mut ff_per_cloud = std::collections::HashMap::new();
+    let mut ff_per_cloud = std::collections::BTreeMap::new();
     for o in &outcomes {
         if o.strategy == "FF" {
             ff_per_cloud.insert(o.cloud.clone(), o.energy.value());

@@ -42,6 +42,10 @@ fn main() {
         "peak_busy",
         "mean_wait_s",
     ]);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "reports the matrix's wall-clock run time; no outcome depends on it"
+    )]
     let start = std::time::Instant::now();
     for out in p.run_matrix().unwrap() {
         t.row(vec![

@@ -69,7 +69,7 @@ proptest! {
     #[test]
     fn lookup_is_total_on_stored_keys(records in proptest::collection::vec(arb_record(), 1..40)) {
         // Deduplicate keys (the constructor rejects duplicates).
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let unique: Vec<DbRecord> = records
             .into_iter()
             .filter(|r| seen.insert(r.mix))
@@ -94,7 +94,7 @@ proptest! {
     /// Database CSV text roundtrips as a whole.
     #[test]
     fn database_csv_roundtrip(records in proptest::collection::vec(arb_record(), 1..25)) {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let unique: Vec<DbRecord> = records
             .into_iter()
             .filter(|r| seen.insert(r.mix))

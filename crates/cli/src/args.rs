@@ -1,7 +1,7 @@
 //! Minimal `--flag value` argument parsing (no external dependencies).
 
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Parsed command line: a subcommand plus `--key value` options and
 /// boolean `--flag`s. Every lookup records the name it asked for, so
@@ -10,7 +10,7 @@ use std::collections::{BTreeSet, HashMap};
 pub struct Args {
     /// The subcommand (first positional token).
     pub command: String,
-    options: HashMap<String, String>,
+    options: BTreeMap<String, String>,
     flags: Vec<String>,
     read: RefCell<BTreeSet<String>>,
 }

@@ -46,7 +46,6 @@ pub fn dispatch(argv: &[String]) -> Result<String, String> {
         "replay-online" => replay_online_cmd(&args),
         "db-diff" => db_diff(&args),
         "info" => info(&args),
-        "lint" => lint(&args),
         other => Err(format!("unknown subcommand {other:?}")),
     }?;
     args.reject_unread()?;
@@ -102,7 +101,6 @@ USAGE:
                        [--fault-seed N] [--fault-rate F]
   eavm-cli db-diff     --left DIR --right DIR [--tolerance F]
   eavm-cli info        --db-dir DIR
-  eavm-cli lint        [--root DIR] [--format text|json|sarif] [--rules LIST] [--deny]
 
 STRATEGIES: ff ff2 ff3 bf bf2 bf3 pa0 pa05 pa1 pa:<alpha>
 "
@@ -706,7 +704,10 @@ fn serve(args: &Args) -> Result<String, String> {
     let config = service_config(args, servers, deadlines, db.aux().os_bounds, &telemetry)?;
     let journaled = config.durability.is_some();
 
-    // eavm-lint: allow(D1, reason = "wall-clock throughput figure for the operator summary line; no simulated or replayed state reads it")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock throughput figure for the operator summary line; no simulated or replayed state reads it"
+    )]
     let started = std::time::Instant::now();
     let report = eavm_service::replay_online(&db, config, &requests).map_err(|e| e.to_string())?;
     let elapsed = started.elapsed().as_secs_f64();
@@ -1007,48 +1008,6 @@ fn info(args: &Args) -> Result<String, String> {
     let (dbp, auxp) = db_paths(&db_dir);
     let db = ModelDatabase::load(&dbp, &auxp).map_err(|e| e.to_string())?;
     Ok(format!("registers: {}\n{}", db.len(), db.aux().to_text()))
-}
-
-/// Run the workspace invariant checker ([`eavm_lint`]) over `--root`
-/// (default: the current directory). `--rules D4,W1` restricts the run
-/// to the named rules; unknown ids fail before any file is read.
-/// Under `--deny`, any unwaived violation turns the report into an
-/// `Err`, which exits nonzero — the mode CI runs between clippy and
-/// the chaos smoke.
-fn lint(args: &Args) -> Result<String, String> {
-    let root = args
-        .optional_path("root")
-        .unwrap_or_else(|| PathBuf::from("."));
-    let format: String = args.get_or("format", "text".to_string())?;
-    // Validate both the format and the rule list up front, so a typo
-    // is a structured error before the scan spends time on 140 files.
-    if !matches!(format.as_str(), "text" | "json" | "sarif") {
-        return Err(format!("unknown --format {format:?} (text|json|sarif)"));
-    }
-    let config = eavm_lint::LintConfig::workspace_default();
-    let config = match args.get_optional::<String>("rules")? {
-        Some(list) => {
-            let enabled = eavm_lint::parse_rule_list(&list).map_err(|e| format!("--rules: {e}"))?;
-            config.restricted(&enabled)
-        }
-        None => config,
-    };
-    let report = eavm_lint::run_lint_with(&root, &config)?;
-    let rendered = match format.as_str() {
-        "text" => report.render_text(),
-        "json" => report.render_json(),
-        _ => report.render_sarif(),
-    };
-    let violations = report.violations().count();
-    if args.flag("deny") && violations > 0 {
-        let trailer = format!("lint: {violations} unwaived violation(s) under --deny");
-        // SARIF goes to files/uploads; keep the denial note readable.
-        return Err(match format.as_str() {
-            "sarif" => trailer,
-            _ => format!("{rendered}{trailer}"),
-        });
-    }
-    Ok(rendered)
 }
 
 /// `scenario check FILE` / `scenario run FILE [flags]`. The action and

@@ -45,7 +45,10 @@ const NFEAT: usize = 12;
 /// semi-definite from normal equations) by Gaussian elimination with
 /// partial pivoting. Tiny pivots get Tikhonov-style damping so collinear
 /// feature sets (e.g. a type never varied) stay solvable.
-#[allow(clippy::needless_range_loop)] // simultaneous row access in elimination
+#[expect(
+    clippy::needless_range_loop,
+    reason = "simultaneous row access in elimination"
+)]
 fn solve(mut a: [[f64; NFEAT]; NFEAT], mut b: [f64; NFEAT]) -> [f64; NFEAT] {
     // Ridge damping keeps the system well-posed.
     for (k, row) in a.iter_mut().enumerate() {

@@ -421,9 +421,9 @@ mod tests {
 
     #[test]
     fn mix_keys_are_injective_and_compose() {
-        use std::collections::HashSet;
+        use std::collections::BTreeSet;
         let bounds = MixVector::new(12, 12, 12);
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for mix in MixVector::space(bounds) {
             assert!(seen.insert(MixKey::of(mix)), "key collision at {mix}");
         }

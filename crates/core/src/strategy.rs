@@ -90,7 +90,7 @@ pub fn validate_placements(
     placements: &[Placement],
 ) -> Result<(), EavmError> {
     let mut covered = MixVector::EMPTY;
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     for p in placements {
         if p.add.is_empty() {
             return Err(EavmError::Infeasible(format!(

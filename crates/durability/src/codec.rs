@@ -8,6 +8,10 @@
 //! malformed input, because decode errors are how torn frames are
 //! detected.
 
+// C1: no silent `as` conversions in the wire format; use the checked
+// helpers (`try_from`, `put_len`).
+#![deny(clippy::as_conversions)]
+
 use eavm_types::EavmError;
 
 /// Append-only encoder over a byte buffer.
@@ -144,6 +148,7 @@ impl<'a> Dec<'a> {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact, bit-reproducible values")]
 mod tests {
     use super::*;
 

@@ -27,6 +27,12 @@
 //! truncates damaged tails and quarantines corrupt snapshots.
 
 #![forbid(unsafe_code)]
+// D4: replay-critical state compares floats only through `total_cmp`
+// or explicit epsilons (DESIGN.md §10).
+#![deny(clippy::float_cmp, clippy::float_cmp_const)]
+// C2: a codec match must name every variant, so a new record kind
+// cannot be swallowed by a wildcard arm.
+#![deny(clippy::wildcard_enum_match_arm)]
 
 pub mod codec;
 pub mod crc32;

@@ -7,6 +7,10 @@
 //! or a short body is an [`EavmError::Durability`] so recovery treats it
 //! exactly like frame corruption — stop, truncate, count.
 
+// C1: no silent `as` conversions in the wire format; use the checked
+// helpers (`try_from`, `put_len`).
+#![deny(clippy::as_conversions)]
+
 use eavm_types::EavmError;
 
 use crate::codec::{Dec, Enc};
@@ -614,9 +618,20 @@ mod tests {
         }
     }
 
+    /// Also the integer-tag half of rule C2, which
+    /// `wildcard_enum_match_arm` cannot see: a byte outside the known
+    /// tag set never decodes, even in front of an otherwise valid body.
     #[test]
     fn unknown_tag_and_trailing_bytes_are_rejected() {
-        assert!(WalRecord::decode(&[99]).is_err());
+        let records = sample_records();
+        let tags: Vec<u8> = records.iter().map(|r| r.encode()[0]).collect();
+        for tag in (0..=u8::MAX).filter(|t| !tags.contains(t)) {
+            for record in &records {
+                let mut bytes = record.encode();
+                bytes[0] = tag;
+                assert!(WalRecord::decode(&bytes).is_err(), "WAL tag {tag}");
+            }
+        }
         let mut bytes = WalRecord::Clock { t: 1.0 }.encode();
         bytes.push(0);
         assert!(WalRecord::decode(&bytes).is_err());
@@ -757,7 +772,9 @@ mod tests {
             counters: vec![],
         }
         .encode();
-        bytes[0] = 9;
-        assert!(SnapshotRec::decode(&bytes).is_err());
+        for version in (0..=u8::MAX).filter(|&v| v != SNAPSHOT_VERSION) {
+            bytes[0] = version;
+            assert!(SnapshotRec::decode(&bytes).is_err(), "version {version}");
+        }
     }
 }

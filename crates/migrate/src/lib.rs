@@ -22,9 +22,13 @@
 //!
 //! The crate is deliberately dependency-light (types + testbed only)
 //! and replay-critical: no wall clocks, no OS randomness, no
-//! iteration-order-randomized containers (eavm-lint D1–D3 apply).
+//! iteration-order-randomized containers (the workspace `clippy.toml`
+//! rules D1–D3 apply).
 
 #![forbid(unsafe_code)]
+// D4: replay-critical state compares floats only through `total_cmp`
+// or explicit epsilons (DESIGN.md §10).
+#![deny(clippy::float_cmp, clippy::float_cmp_const)]
 
 mod model;
 mod policy;

@@ -43,6 +43,9 @@
 //! [`rung`]: OverloadPlane::rung
 
 #![forbid(unsafe_code)]
+// D4: replay-critical state compares floats only through `total_cmp`
+// or explicit epsilons (DESIGN.md §10).
+#![deny(clippy::float_cmp, clippy::float_cmp_const)]
 
 /// SplitMix64 finalizer (inlined so this crate stays dependency-free;
 /// bit-identical to `eavm_faults::mix64`, which the breaker's probe
@@ -489,6 +492,7 @@ impl OverloadPlane {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact, bit-reproducible values")]
 mod tests {
     use super::*;
 

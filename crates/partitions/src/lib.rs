@@ -24,6 +24,9 @@
 //!   which is exactly the paper's workload shape.
 
 #![forbid(unsafe_code)]
+// D4: replay-critical state compares floats only through `total_cmp`
+// or explicit epsilons (DESIGN.md §10).
+#![deny(clippy::float_cmp, clippy::float_cmp_const)]
 
 pub mod counting;
 pub mod multiset;

@@ -125,7 +125,7 @@ pub fn block_total(block: &[u32]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     /// Integer partition counts p(n) — multiset partitions of n identical
     /// items.
@@ -167,7 +167,7 @@ mod tests {
     #[test]
     fn no_duplicate_partitions() {
         let parts = multiset_partitions(&[3, 2, 1], u32::MAX);
-        let set: HashSet<_> = parts.iter().cloned().collect();
+        let set: BTreeSet<_> = parts.iter().cloned().collect();
         assert_eq!(set.len(), parts.len());
     }
 
@@ -219,7 +219,10 @@ mod tests {
     fn cap_bounds_generation_cost_on_huge_spaces() {
         // (8,6,6) with block cap 10 has hundreds of thousands of
         // partitions; with a cap the call must return promptly.
-        // eavm-lint: allow(D1, reason = "perf-sanity test asserting a loose wall-clock bound on capped enumeration; no replayed state involved")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "perf-sanity test asserting a loose wall-clock bound on capped enumeration; no replayed state involved"
+        )]
         let start = std::time::Instant::now();
         let some = multiset_partitions_capped(&[8, 6, 6], 10, 4_096);
         assert_eq!(some.len(), 4_096);

@@ -168,7 +168,7 @@ impl Iterator for BoundedPartitions {
 mod tests {
     use super::*;
     use crate::counting::{bell_number, stirling2};
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn partition_counts_match_bell_numbers() {
@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn every_partition_is_unique_and_covers_the_set() {
         let n = 7;
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for p in SetPartitions::new(n) {
             // Cover: all indices exactly once.
             let mut all: Vec<usize> = p.iter().flatten().copied().collect();

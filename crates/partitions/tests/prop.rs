@@ -4,7 +4,7 @@ use eavm_partitions::{
     bell_number, multiset_partitions, rgs::is_valid_rgs, BoundedPartitions, SetPartitions,
 };
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -14,7 +14,7 @@ proptest! {
     /// free with Bell(n) entries.
     #[test]
     fn set_partitions_are_exact_covers(n in 1usize..9) {
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         let mut count = 0u128;
         for p in SetPartitions::new(n) {
             count += 1;
@@ -65,7 +65,7 @@ proptest! {
             prop_assert!(parts.is_empty());
             return Ok(());
         }
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for p in &parts {
             let mut sum = vec![0u32; counts.len()];
             for block in p {

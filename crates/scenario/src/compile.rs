@@ -254,6 +254,7 @@ pub fn compile(spec: &ScenarioSpec, solo: [Seconds; 3]) -> Result<CompiledScenar
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact, bit-reproducible values")]
 mod tests {
     use super::*;
     use crate::parse::parse_scenario;

@@ -25,6 +25,9 @@
 //! CSVs byte for byte.
 
 #![forbid(unsafe_code)]
+// D4: replay-critical state compares floats only through `total_cmp`
+// or explicit epsilons (DESIGN.md §10).
+#![deny(clippy::float_cmp, clippy::float_cmp_const)]
 
 pub mod compile;
 pub mod engine;

@@ -216,7 +216,9 @@ impl Assignment {
 
     fn unsigned(&self) -> Result<u64, ScenarioError> {
         let n = self.number()?;
-        // eavm-lint: allow(D4, reason = "integrality check: fract() is exactly ±0.0 iff n is an integer, and a NaN input fails the surrounding comparisons into the same rejection")
+        // Integrality check: fract() is exactly ±0.0 iff n is an
+        // integer, and a NaN input fails the surrounding comparisons
+        // into the same rejection.
         if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
             return Err(self.err(
                 ErrorKind::BadValue,
@@ -570,6 +572,7 @@ fn set_exit(
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact, bit-reproducible values")]
 mod tests {
     use super::*;
 

@@ -16,6 +16,19 @@
 //! fleet bit for bit (finish instants, energy, and which VM a
 //! consolidation drain picks).
 
+// P1: a panic here would kill the admission loop, the fleet's only
+// writer. P2: blocking output here would stall every admission (file
+// and stdin access are checked by `lib.rs`'s `fleet_state_does_no_io`).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+
 use eavm_core::{
     AllocationModel, AllocationStrategy, DbModel, OptimizationGoal, Placement, Proactive,
     RequestView, ResilientModel, ServerView,
@@ -330,7 +343,10 @@ impl Fleet {
 /// Build the service's allocator, counting cache traffic into
 /// `cache_metrics`, partition-search work into `search_metrics`, and
 /// injected-lookup-failure fallbacks into `fallbacks`.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is a separate instrument or knob of the one allocator"
+)]
 pub(crate) fn build_strategy(
     db: eavm_benchdb::ModelDatabase,
     cache_capacity: usize,

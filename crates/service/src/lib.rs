@@ -42,10 +42,14 @@
 //! integration test pins this down).
 
 #![forbid(unsafe_code)]
+// D4: replay-critical state compares floats only through `total_cmp`
+// or explicit epsilons (DESIGN.md §10).
+#![deny(clippy::float_cmp, clippy::float_cmp_const)]
 
 pub mod deterministic;
 pub mod durable;
 mod fleet;
+mod journaled;
 pub mod memo;
 pub mod service;
 
@@ -56,3 +60,21 @@ pub use service::{
     drive_paced, replay_online, AllocService, DrainReport, ReplayReport, ServiceConfig,
     ServiceStats, ShedReason, SubmitOutcome, Verdict,
 };
+
+#[cfg(test)]
+mod tests {
+    /// The half of rule P2 clippy cannot express: the fleet state, the
+    /// admission loop's hot path, names no file, stdin or other std I/O
+    /// in code (comments aside). Its print half is denied in `fleet.rs`.
+    #[test]
+    fn fleet_state_does_no_io() {
+        let code = include_str!("fleet.rs")
+            .lines()
+            .map(|line| line.split("//").next().unwrap_or(""));
+        for (n, line) in code.enumerate() {
+            for banned in ["std::fs", "fs::", "File", "OpenOptions", "stdin", "std::io"] {
+                assert!(!line.contains(banned), "fleet.rs:{}: {banned}", n + 1);
+            }
+        }
+    }
+}

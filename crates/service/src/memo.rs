@@ -15,7 +15,10 @@
 //! successful `estimate_mix` results are cached; errors always re-query.
 
 use std::cell::RefCell;
-// eavm-lint: allow(D3, reason = "LRU index map is point-lookup only (get/insert/remove by MixKey); nothing ever iterates it, and the hash lookup is the memoized hot path")
+#[expect(
+    clippy::disallowed_types,
+    reason = "LRU index map is point-lookup only (get/insert/remove by MixKey); nothing ever iterates it, and the hash lookup is the memoized hot path"
+)]
 use std::collections::HashMap;
 
 use eavm_core::{AllocationModel, MixEstimate, MixKey};
@@ -103,7 +106,10 @@ const NIL: usize = usize::MAX;
 /// a hash map over an intrusive doubly-linked recency list.
 #[derive(Debug)]
 pub struct LruCache {
-    // eavm-lint: allow(D3, reason = "point lookups only; recency order lives in the intrusive list, never in map iteration")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "point lookups only; recency order lives in the intrusive list, never in map iteration"
+    )]
     map: HashMap<MixKey, usize>,
     slots: Vec<Slot>,
     head: usize, // most recently used
@@ -124,7 +130,10 @@ impl LruCache {
     pub fn with_metrics(capacity: usize, metrics: CacheMetrics) -> Self {
         let capacity = capacity.max(1);
         LruCache {
-            // eavm-lint: allow(D3, reason = "see the field declaration: lookup-only map")
+            #[expect(
+                clippy::disallowed_types,
+                reason = "see the field declaration: lookup-only map"
+            )]
             map: HashMap::with_capacity(capacity),
             slots: Vec::with_capacity(capacity),
             head: NIL,

@@ -51,6 +51,7 @@ use crate::durable::{
     DurInstruments, DurabilityConfig, DurabilityStats, Journal, RecoveryReport,
 };
 use crate::fleet::{build_strategy, Fleet};
+use crate::journaled::{self, AckTx, Journaled};
 use crate::memo::{CacheMetrics, CacheStats};
 
 /// Tuning knobs for [`AllocService::start`].
@@ -474,7 +475,9 @@ impl AllocService {
         let mut plane = match &config.overload {
             Some(overload) => {
                 let mut resolved = overload.clone().resolve(config.servers);
-                // eavm-lint: allow(D4, reason = "exact-zero means `breaker unarmed`: the rate is user config copied verbatim, and only a literal 0.0 opts into mirroring the fault stream")
+                // Exact zero means "breaker unarmed": the rate is user
+                // config copied verbatim, and only a literal 0.0 opts into
+                // mirroring the fault stream.
                 if resolved.breaker_rate == 0.0 && config.lookup_faults.is_enabled() {
                     resolved = resolved.with_breaker_stream(
                         config.lookup_faults.seed(),
@@ -598,7 +601,7 @@ impl AllocService {
             config,
             fleet,
             ctl_rx,
-            verdict_tx,
+            verdict_tx: AckTx::new(verdict_tx),
             parked: restored_parked
                 .into_iter()
                 .map(|(ticket, request, parked_at)| Parked {
@@ -649,8 +652,11 @@ impl AllocService {
         &self.telemetry
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "admission-latency stamp, gated on telemetry; the disabled path never reads a clock and no replayed state depends on it"
+    )]
     fn stamp(&self) -> Option<Instant> {
-        // eavm-lint: allow(D1, reason = "admission-latency stamp, gated on telemetry; the disabled path never reads a clock and no replayed state depends on it")
         self.telemetry.is_enabled().then(Instant::now)
     }
 
@@ -938,7 +944,7 @@ struct Admission {
     config: ServiceConfig,
     fleet: Fleet,
     ctl_rx: Receiver<Ctl>,
-    verdict_tx: Sender<(u64, Verdict)>,
+    verdict_tx: AckTx,
     parked: VecDeque<Parked>,
     /// Submit instants of tickets that have not seen a verdict yet,
     /// recorded only when telemetry is enabled. Ordered map: cheap at
@@ -1093,20 +1099,18 @@ impl Admission {
         }
     }
 
-    /// Append a record through the journal's resilient path. Returns
-    /// `true` when the record is durable (or the service journals
-    /// nothing at all). Exhausted retries flip the loop into sticky
-    /// read-only degradation — once here, further calls short-circuit
-    /// to `false` without hammering the dead disk.
-    fn journal_append(&mut self, record: &WalRecord) -> bool {
-        let Some(journal) = self.journal.as_mut() else {
-            return true;
-        };
+    /// Append a record through the journal's resilient path and hand
+    /// `value` back as [`Journaled`]: `Some` when the record is in the
+    /// WAL (or the service journals nothing at all). Exhausted retries
+    /// flip the loop into sticky read-only degradation — once here,
+    /// further calls short-circuit to `None` without hammering the dead
+    /// disk.
+    fn journal_append<T>(&mut self, record: &WalRecord, value: T) -> Option<Journaled<T>> {
         if self.storage_degraded {
-            return false;
+            return None;
         }
-        match journal.append_resilient(record) {
-            Ok(()) => true,
+        match journaled::append(self.journal.as_mut(), record, value) {
+            Ok(journaled) => Some(journaled),
             Err(err) => {
                 self.storage_degraded = true;
                 self.counters.durability.degraded_entries.add(1);
@@ -1117,7 +1121,7 @@ impl Admission {
                     "journal append failed; entering read-only degraded mode",
                     vec![("error", err.to_string())],
                 );
-                false
+                None
             }
         }
     }
@@ -1145,23 +1149,22 @@ impl Admission {
         // whose answer may have escaped. A verdict that cannot be made
         // durable must not be acked either — the client instead learns
         // the service degraded, and still gets exactly one answer.
-        let (verdict, acked) = if self.journal_append(&verdict_to_record(ticket, &verdict)) {
-            self.note_verdict(ticket, &verdict);
-            (verdict, true)
-        } else {
-            self.counters.shed_storage_degraded.add(1);
-            // The degraded shed is the ticket's final answer; it was
-            // never journaled, so no plane hook fires for it (replay
-            // will not see it either).
-            self.meta.remove(&ticket);
-            (
-                Verdict::Shed {
-                    reason: ShedReason::StorageDegraded,
-                },
-                false,
-            )
+        let record = verdict_to_record(ticket, &verdict);
+        let (ack, acked) = match self.journal_append(&record, (ticket, verdict)) {
+            Some(ack) => {
+                self.note_verdict(ticket, &ack.1);
+                (ack, true)
+            }
+            None => {
+                self.counters.shed_storage_degraded.add(1);
+                // The degraded shed is the ticket's final answer; it was
+                // never journaled, so no plane hook fires for it (replay
+                // will not see it either).
+                self.meta.remove(&ticket);
+                (Journaled::storage_degraded_shed(ticket), false)
+            }
         };
-        let _ = self.verdict_tx.send((ticket, verdict));
+        self.verdict_tx.send(ack);
         acked
     }
 
@@ -1253,7 +1256,7 @@ impl Admission {
                 ticket,
                 req: req_to_rec(request),
             };
-            if self.journal_append(&record) {
+            if self.journal_append(&record, ()).is_some() {
                 self.note_submit(ticket, request);
             }
             // Counted even when degraded, so conservation holds.
@@ -1441,7 +1444,7 @@ impl Admission {
             mix.fits_within(&bound)
         });
         let cost = cfg.model.cost();
-        if !self.journal_append(&WalRecord::Migrate {
+        let record = WalRecord::Migrate {
             epoch,
             t: self.now.0,
             stall: cost.stall.0,
@@ -1454,14 +1457,15 @@ impl Admission {
                     ty: m.ty.index() as u8,
                 })
                 .collect(),
-        }) {
-            // Journal-before-execute: an unjournaled sweep would be
-            // invisible to recovery, so its moves must never touch the
-            // fleet.
+        };
+        // Journal-before-execute: an unjournaled sweep would be
+        // invisible to recovery, so its moves must never touch the
+        // fleet.
+        let Some(moves) = self.journal_append(&record, plan.moves.as_slice()) else {
             return;
-        }
+        };
         let mut executed = 0u64;
-        for m in &plan.moves {
+        for m in moves.iter() {
             if self.execute_move(m, cost.stall) {
                 executed += 1;
             }
@@ -1495,7 +1499,7 @@ impl Admission {
     /// (learning its finish instant) and land it on the receiver with
     /// the finish pushed out by `stall`. A failed drain skips the move;
     /// a failed landing puts the VM back on its donor.
-    fn execute_move(&mut self, m: &eavm_migrate::Move, stall: Seconds) -> bool {
+    fn execute_move(&mut self, m: Journaled<&eavm_migrate::Move>, stall: Seconds) -> bool {
         let from = ServerId::from(m.from);
         let to = ServerId::from(m.to);
         let Some(finish) = self.fleet.drain_vm(from, m.ty) else {
@@ -1583,7 +1587,10 @@ impl Admission {
         // replaying without this frame can only retire the same VMs a
         // little later — and the degraded flag it sets sheds everything
         // that could have observed the difference.
-        if self.journal_append(&WalRecord::Clock { t: t.0 }) {
+        if self
+            .journal_append(&WalRecord::Clock { t: t.0 }, ())
+            .is_some()
+        {
             if let Some(plane) = self.plane.as_mut() {
                 plane.on_clock(t.0);
             }

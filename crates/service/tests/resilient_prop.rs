@@ -65,9 +65,10 @@ proptest! {
         let mut degraded = 0u64;
         let mut clean = 0u64;
         let mut clean_mixes = std::collections::BTreeSet::new();
-        // Not `enumerate()`: the ordinal advances only when faults are
-        // enabled, exactly like the wrapper's internal counter.
-        #[allow(clippy::explicit_counter_loop)]
+        #[expect(
+            clippy::explicit_counter_loop,
+            reason = "not `enumerate()`: the ordinal advances only when faults are enabled, exactly like the wrapper's internal counter"
+        )]
         for pick in &picks {
             let mix = pool[pick % pool.len()];
             // Mirror the wrapper's fault predicate: one fault-eligible

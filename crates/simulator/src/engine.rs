@@ -538,7 +538,9 @@ impl<M: AllocationModel> Simulation<M> {
                 if self.burst_allocation {
                     for &other in queue.iter().skip(1) {
                         let r = &requests[pending[other].origin];
-                        // eavm-lint: allow(D4, reason = "burst grouping keys on exact identity of trace-supplied submit instants; both sides are copied from the input, never computed")
+                        // Burst grouping keys on exact identity of trace-supplied
+                        // submit instants: both sides are copied from the input,
+                        // never computed.
                         if r.submit == head.submit && r.workload == head.workload {
                             group.push(other);
                         } else {
@@ -786,7 +788,10 @@ impl<M: AllocationModel> Simulation<M> {
             }
 
             // Retire completed VMs and update their servers.
-            #[allow(clippy::needless_range_loop)] // `servers[si]` is mutated in the body
+            #[expect(
+                clippy::needless_range_loop,
+                reason = "`servers[si]` is mutated in the body"
+            )]
             for si in 0..servers.len() {
                 let mut changed = false;
                 let resident = std::mem::take(&mut servers[si].vms);
@@ -983,7 +988,10 @@ impl<M: AllocationModel> Simulation<M> {
     /// degradation opens a slowdown window. Windows end at the *event's*
     /// scheduled time plus duration, so late processing (an event due
     /// while the fleet was idle) stays deterministic.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a private helper of run() over its loop state"
+    )]
     fn apply_fault(
         &self,
         event: &eavm_faults::FaultEvent,
@@ -1072,7 +1080,10 @@ impl<M: AllocationModel> Simulation<M> {
     /// Materialize validated placements: create the VMs (attributed to
     /// their owning requests, in order), update server mixes, refresh the
     /// per-server caches, and track peaks.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a private helper of run() over its loop state"
+    )]
     fn commit_placements(
         &self,
         placements: &[eavm_core::Placement],
@@ -1129,7 +1140,10 @@ impl<M: AllocationModel> Simulation<M> {
     /// all-or-nothing per donor; on success the donor empties (and
     /// powers off) and each moved VM pays the pre-copy migration stall
     /// as lost progress.
-    #[allow(clippy::too_many_arguments)] // the sweep is run()'s private helper over its loop state
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the sweep is run()'s private helper over its loop state"
+    )]
     fn consolidation_sweep(
         &self,
         cfg: &MigrationConfig,
@@ -1215,6 +1229,7 @@ impl<M: AllocationModel> Simulation<M> {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact, bit-reproducible values")]
 mod tests {
     use super::*;
     use eavm_core::{reference_cpu_slots, AnalyticModel, FirstFit, OptimizationGoal, Proactive};

@@ -21,6 +21,9 @@
 //! [`AllocationStrategy`]: eavm_core::AllocationStrategy
 
 #![forbid(unsafe_code)]
+// D4: replay-critical state compares floats only through `total_cmp`
+// or explicit epsilons (DESIGN.md §10).
+#![deny(clippy::float_cmp, clippy::float_cmp_const)]
 
 pub mod cloud;
 pub mod engine;

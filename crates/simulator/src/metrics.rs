@@ -162,7 +162,8 @@ impl SimOutcome {
 
     /// Fraction of the total energy that is static (idle) draw.
     pub fn idle_energy_fraction(&self) -> f64 {
-        // eavm-lint: allow(D4, reason = "exact-zero sentinel guarding the division below; energy is exactly 0.0 only when no interval was ever recorded")
+        // Exact-zero sentinel guarding the division below: energy is
+        // exactly 0.0 only when no interval was ever recorded.
         if self.energy.value() == 0.0 {
             0.0
         } else {
@@ -207,6 +208,7 @@ host_crashes,host_degradations,vms_killed,vms_restarted,lost_work_s,restart_ener
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact, bit-reproducible values")]
 mod tests {
     use super::*;
 

@@ -6,14 +6,14 @@
 //! trace carries into a key/value map with typed accessors for the
 //! common fields, without losing unknown keys.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::format::SwfTrace;
 
 /// Parsed `; Key: value` header metadata.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SwfMetadata {
-    fields: HashMap<String, String>,
+    fields: BTreeMap<String, String>,
     /// Header lines that were not `Key: value` shaped, in order.
     pub free_text: Vec<String>,
 }

@@ -99,7 +99,6 @@ impl IdAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     #[test]
     fn ids_display_with_prefix() {
@@ -109,11 +108,16 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "exercises the derived `Hash` impl; the set is only counted, never iterated"
+    )]
     fn ids_are_ordered_and_hashable() {
         assert!(VmId::new(1) < VmId::new(2));
-        let set: HashSet<ServerId> = [ServerId::new(1), ServerId::new(1), ServerId::new(2)]
-            .into_iter()
-            .collect();
+        let set: std::collections::HashSet<ServerId> =
+            [ServerId::new(1), ServerId::new(1), ServerId::new(2)]
+                .into_iter()
+                .collect();
         assert_eq!(set.len(), 2);
     }
 
