@@ -72,6 +72,18 @@ done
 echo "==> cargo bench --no-run"
 cargo bench --no-run --workspace
 
+echo "==> perfbench (self-test + a zero-second pass of every workload)"
+# perfbench/ is a cargo workspace of its own, so the steps above never
+# build it. It drives core and service through their public API and
+# reads their counter names (`service.cache.*`), so a change there can
+# break the benchmark silently. Build it, run its self-test, and
+# require its last line (the JSON report) to say `"correct": true`.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+PERF_OUT="$(cargo run --release --offline --quiet \
+    --manifest-path perfbench/Cargo.toml -- --workload all --seconds 0)"
+[[ "$(tail -n 1 <<< "$PERF_OUT")" == *'"correct": true'* ]] \
+    || { echo "perfbench smoke: a pass was not correct"; echo "$PERF_OUT"; exit 1; }
+
 echo "==> cargo doc --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 

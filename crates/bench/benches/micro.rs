@@ -8,7 +8,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use eavm_bench::{Pipeline, PipelineConfig, StrategyKind};
 use eavm_benchdb::{DbBuilder, ModelDatabase};
 use eavm_core::strategy::{RequestView, ServerView};
-use eavm_core::{AllocationStrategy, DbModel, OptimizationGoal, Proactive};
+use eavm_core::{AllocationModel, AllocationStrategy, DbModel, OptimizationGoal, Proactive};
 use eavm_faults::{FaultConfig, FaultPlan, LookupFaults};
 use eavm_partitions::{multiset_partitions, multiset_partitions_capped, SetPartitions};
 use eavm_testbed::{ApplicationProfile, RunSimulator};
@@ -48,6 +48,16 @@ fn bench_database(c: &mut Criterion) {
         b.iter(|| {
             i = (i + 1) % mixes.len();
             black_box(db.estimate(mixes[i]).unwrap())
+        })
+    });
+    // The same lookups answered from `DbModel`'s per-mix table, which
+    // holds exactly what `db_estimate_in_grid` computes.
+    let model = DbModel::new(db.clone());
+    c.bench_function("db_model_estimate_in_grid", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 1) % mixes.len();
+            black_box(model.estimate_mix(mixes[i]).unwrap())
         })
     });
     c.bench_function("db_estimate_extrapolated", |b| {
@@ -91,51 +101,6 @@ fn bench_proactive_decision(c: &mut Criterion) {
                 .unwrap()
         })
     });
-}
-
-fn bench_memoized_search(c: &mut Criterion) {
-    // The same partition-search scoring workload with and without the
-    // service's LRU memoization layer in front of the DbModel: every
-    // candidate block re-evaluates `(resident mix + pending block)`
-    // keys, so a warm cache should shortcut most model lookups.
-    let deadlines = [Seconds(3600.0), Seconds(3000.0), Seconds(2700.0)];
-    let servers = mid_load_fleet();
-    let request = cpu_request(deadlines[0]);
-    let mut group = c.benchmark_group("partition_search");
-    let mut plain = Proactive::new(
-        DbModel::new(database()),
-        OptimizationGoal::BALANCED,
-        deadlines,
-    )
-    .with_qos_margin(0.65);
-    group.bench_function("unmemoized", |b| {
-        b.iter(|| {
-            plain
-                .allocate(black_box(&request), black_box(&servers))
-                .unwrap()
-        })
-    });
-    let mut memoized = Proactive::new(
-        eavm_service::MemoModel::new(DbModel::new(database()), 4_096),
-        OptimizationGoal::BALANCED,
-        deadlines,
-    )
-    .with_qos_margin(0.65);
-    group.bench_function("memoized", |b| {
-        b.iter(|| {
-            memoized
-                .allocate(black_box(&request), black_box(&servers))
-                .unwrap()
-        })
-    });
-    group.finish();
-    let stats = memoized.model().cache_stats();
-    println!(
-        "#   memoized search cache: hits={} misses={} hit-rate={:.1}%",
-        stats.hits,
-        stats.misses,
-        100.0 * stats.hit_rate()
-    );
 }
 
 fn bench_runsim(c: &mut Criterion) {
@@ -418,7 +383,6 @@ criterion_group!(
     bench_partitions,
     bench_database,
     bench_proactive_decision,
-    bench_memoized_search,
     bench_runsim,
     bench_end_to_end,
     bench_learned_model,

@@ -48,7 +48,7 @@ pub mod strategy;
 pub use best_fit::BestFit;
 pub use first_fit::{reference_cpu_slots, FirstFit};
 pub use goal::OptimizationGoal;
-pub use model::{AllocationModel, AnalyticModel, DbModel, MixEstimate, MixKey};
+pub use model::{AllocationModel, AnalyticModel, DbModel, MixEstimate};
 pub use proactive::{PartitionCandidate, Proactive, SearchCaps, SearchMetrics};
 pub use resilient::ResilientModel;
 pub use strategy::{AllocationStrategy, Placement, RequestView, ServerView};

@@ -9,13 +9,15 @@
 //!
 //! * [`DbModel`] wraps the empirical CSV database — this is the
 //!   *knowledge* the PROACTIVE allocator acts on, noisy meter readings
-//!   and all.
+//!   and all — and answers the hostable mixes from a dense table built
+//!   once from it.
 //! * [`AnalyticModel`] evaluates the testbed's contention equations
 //!   directly — this is the *ground truth* the datacenter simulator
 //!   executes, so allocator-model error propagates realistically into
 //!   the results.
 
 use eavm_benchdb::ModelDatabase;
+use eavm_telemetry::Counter;
 use eavm_testbed::{ApplicationProfile, BenchmarkSuite, ContentionModel, PowerModel, ServerSpec};
 use eavm_types::{EavmError, Joules, MixVector, Seconds, Watts, WorkloadType};
 
@@ -43,52 +45,6 @@ impl MixEstimate {
             .flatten()
             .copied()
             .fold(Seconds::ZERO, Seconds::max)
-    }
-}
-
-/// Canonical, hashable key for one model lookup: the full mix a server
-/// would host (resident VMs plus the pending block under evaluation).
-///
-/// The partition search evaluates the same joined mixes over and over —
-/// across candidate servers, partitions, and requests — so callers
-/// layering a memoization cache in front of [`AllocationModel::
-/// estimate_mix`] (e.g. `eavm-service`'s `MemoModel`) key it on this.
-/// Packing the three counts into one `u64` keeps the key `Copy`,
-/// order-preserving, and cheap to hash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct MixKey(u64);
-
-impl MixKey {
-    /// Key of a mix as-is.
-    #[inline]
-    pub fn of(mix: MixVector) -> Self {
-        MixKey(((mix.cpu as u64) << 42) | ((mix.mem as u64) << 21) | mix.io as u64)
-    }
-
-    /// Key of the mix a server would host after a pending block joins the
-    /// resident VMs — the canonical "resident-mix + pending-block" form.
-    /// Panics (debug) if a count overflows the 21-bit per-type field; the
-    /// OS bounds cap real mixes far below that.
-    #[inline]
-    pub fn compose(resident: MixVector, pending: MixVector) -> Self {
-        let joined = resident + pending;
-        debug_assert!(
-            joined.cpu < (1 << 21) && joined.mem < (1 << 21) && joined.io < (1 << 21),
-            "mix count overflows the key field"
-        );
-        Self::of(joined)
-    }
-
-    /// The packed representation.
-    #[inline]
-    pub fn raw(&self) -> u64 {
-        self.0
-    }
-}
-
-impl From<MixVector> for MixKey {
-    fn from(mix: MixVector) -> Self {
-        Self::of(mix)
     }
 }
 
@@ -141,33 +97,115 @@ pub trait AllocationModel {
     }
 }
 
+/// Table cells beyond which [`DbModel`] keeps no table and answers every
+/// lookup from the database. A real box is a few hundred cells, but its
+/// bounds come from the database's auxiliary file.
+const MAX_TABLE_CELLS: usize = 1 << 16;
+
 /// The empirical model: lookups (and bounded extrapolation) against the
 /// benchmarked database.
+///
+/// [`DbModel::new`] evaluates [`ModelDatabase::estimate`] once for every
+/// mix in the box `0..=max_mix()` — the only mixes the PROACTIVE
+/// allocator proposes — and keeps the answers in a dense table indexed
+/// in the database's `(Ncpu, Nmem, Nio)` order. `estimate_mix`,
+/// `exec_time` and `run_energy` answer an in-box mix by index. The
+/// empty mix, mixes outside the box and cells whose estimate errs fall
+/// through to [`ModelDatabase::estimate`] itself. Each cell holds the
+/// value of the call it replaces, so every answer is bit-identical to
+/// the database's; the paper's binary search stays the reference.
+///
+/// Two counters record the traffic: `hits` counts answers from the
+/// table, `misses` the fall-throughs (the empty mix is neither).
 #[derive(Debug, Clone)]
 pub struct DbModel {
     db: ModelDatabase,
+    bounds: MixVector,
+    table: Box<[Option<MixEstimate>]>,
+    hits: Counter,
+    misses: Counter,
 }
 
 impl DbModel {
-    /// Wrap a built database.
+    /// Wrap a built database; lookups are not counted.
     pub fn new(db: ModelDatabase) -> Self {
-        DbModel { db }
+        DbModel::with_counters(db, Counter::noop(), Counter::noop())
+    }
+
+    /// Wrap a built database, counting table answers on `hits` and
+    /// fall-throughs to the database on `misses`.
+    pub fn with_counters(db: ModelDatabase, hits: Counter, misses: Counter) -> Self {
+        let os_bounds = db.aux().os_bounds;
+        let cells = [os_bounds.cpu, os_bounds.mem, os_bounds.io]
+            .into_iter()
+            .try_fold(1usize, |n, b| n.checked_mul(b as usize + 1));
+        // Past the cap the box shrinks to the empty mix alone, whose
+        // cell is always `None`: every lookup falls through.
+        let bounds = if cells.is_some_and(|n| n <= MAX_TABLE_CELLS) {
+            os_bounds
+        } else {
+            MixVector::EMPTY
+        };
+        let table = MixVector::space(bounds)
+            .map(|mix| {
+                db.estimate(mix).ok().map(|est| MixEstimate {
+                    per_type_time: est.per_type_time,
+                    energy: est.energy,
+                })
+            })
+            .collect();
+        DbModel {
+            db,
+            bounds,
+            table,
+            hits,
+            misses,
+        }
     }
 
     /// Access the underlying database.
     pub fn database(&self) -> &ModelDatabase {
         &self.db
     }
+
+    /// Lookups answered from the table so far.
+    pub fn table_hits(&self) -> u64 {
+        self.hits.get()
+    }
+
+    /// Lookups that fell through to the database so far.
+    pub fn table_misses(&self) -> u64 {
+        self.misses.get()
+    }
+
+    /// The table cell of `mix`, if it lies in the box and its estimate
+    /// succeeded. [`MixVector::space`] lays the cells out io-fastest.
+    fn cell(&self, mix: MixVector) -> Option<MixEstimate> {
+        let b = self.bounds;
+        if mix.cpu > b.cpu || mix.mem > b.mem || mix.io > b.io {
+            return None;
+        }
+        let (mem_span, io_span) = (b.mem as usize + 1, b.io as usize + 1);
+        let i = (mix.cpu as usize * mem_span + mix.mem as usize) * io_span + mix.io as usize;
+        self.table.get(i).copied().flatten()
+    }
 }
 
 impl AllocationModel for DbModel {
     fn exec_time(&self, mix: MixVector, ty: WorkloadType) -> Result<Seconds, EavmError> {
-        let est = self.db.estimate(mix)?;
-        est.time_of(ty)
+        self.estimate_mix(mix)?
+            .time_of(ty)
             .ok_or_else(|| EavmError::ModelMiss(format!("type {ty} absent from mix {mix}")))
     }
 
     fn estimate_mix(&self, mix: MixVector) -> Result<MixEstimate, EavmError> {
+        if let Some(est) = self.cell(mix) {
+            self.hits.inc();
+            return Ok(est);
+        }
+        if !mix.is_empty() {
+            self.misses.inc();
+        }
         let est = self.db.estimate(mix)?;
         Ok(MixEstimate {
             per_type_time: est.per_type_time,
@@ -188,7 +226,7 @@ impl AllocationModel for DbModel {
         if mix.is_empty() {
             return Ok(Joules::ZERO);
         }
-        Ok(self.db.estimate(mix)?.energy)
+        Ok(self.estimate_mix(mix)?.energy)
     }
 
     fn solo_time(&self, ty: WorkloadType) -> Seconds {
@@ -417,26 +455,6 @@ mod tests {
         assert_eq!(d.max_mix(), d.database().aux().os_bounds);
         let a = AnalyticModel::reference();
         assert_eq!(a.max_mix(), MixVector::new(16, 16, 16));
-    }
-
-    #[test]
-    fn mix_keys_are_injective_and_compose() {
-        use std::collections::BTreeSet;
-        let bounds = MixVector::new(12, 12, 12);
-        let mut seen = BTreeSet::new();
-        for mix in MixVector::space(bounds) {
-            assert!(seen.insert(MixKey::of(mix)), "key collision at {mix}");
-        }
-        let resident = MixVector::new(3, 1, 0);
-        let block = MixVector::new(1, 0, 2);
-        assert_eq!(
-            MixKey::compose(resident, block),
-            MixKey::of(resident + block)
-        );
-        assert_eq!(MixKey::from(resident), MixKey::of(resident));
-        // Ordering matches the database's sort key.
-        assert!(MixKey::of(MixVector::new(1, 0, 0)) < MixKey::of(MixVector::new(1, 0, 1)));
-        assert!(MixKey::of(MixVector::new(1, 2, 0)) < MixKey::of(MixVector::new(2, 0, 0)));
     }
 
     #[test]

@@ -281,7 +281,12 @@ impl<M: AllocationModel> Proactive<M> {
                     Some((_, be, bt)) => {
                         // Per-block ranking under the goal, normalized by
                         // the incumbent; strict improvement required so
-                        // ties keep the earliest server.
+                        // ties keep the earliest server. Normalizing by
+                        // the incumbent makes "beats" non-transitive, so
+                        // candidates with an equal (mix, platform) key
+                        // must still each be visited, in list order:
+                        // one that lost to an earlier incumbent can beat
+                        // a later one.
                         let e_norm = d_energy.value() / be.value().max(f64::MIN_POSITIVE);
                         let t_norm = block_time.value() / bt.value().max(f64::MIN_POSITIVE);
                         self.goal.score(e_norm, t_norm) < 1.0 - 1e-12

@@ -417,9 +417,7 @@ pub struct SnapshotRec {
     pub now: f64,
     /// Next admission ticket to hand out.
     pub next_ticket: u64,
-    /// Memo-cache generation: caches are rebuilt cold on recovery, and
-    /// each checkpoint bumps the generation so operators can tell a
-    /// warm cache from a freshly recovered one.
+    /// Mirrors `seq`; kept so the snapshot format stays unchanged.
     pub cache_generation: u64,
     pub shards: Vec<ShardSnapRec>,
     /// Parked wait-queue entries in FIFO order: ticket, the original

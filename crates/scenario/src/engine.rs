@@ -386,7 +386,6 @@ fn run_service(compiled: &CompiledScenario, db: &ModelDatabase) -> Result<Scenar
         // sink is forced off and the p99 column is deterministically 0.
         .with_telemetry(Telemetry::disabled());
     config.queue_capacity = spec.service.queue;
-    config.cache_capacity = spec.service.cache;
     config.deadlines = scenario_deadlines(spec, db);
     config.qos_margin = QOS_MARGIN;
     if let Policy::Proactive { alpha } = &spec.policy {

@@ -458,7 +458,6 @@ fn build_spec(
             },
             Section::Service => match a.key.as_str() {
                 "queue" => service.queue = a.count()?,
-                "cache" => service.cache = a.count()?,
                 other => {
                     return Err(a.err(
                         ErrorKind::UnknownKey,

@@ -222,16 +222,11 @@ impl Default for FaultSpec {
 pub struct ServiceSpec {
     /// Admission channel / parked queue bound.
     pub queue: usize,
-    /// LRU model-cache capacity.
-    pub cache: usize,
 }
 
 impl Default for ServiceSpec {
     fn default() -> Self {
-        ServiceSpec {
-            queue: 1024,
-            cache: 4096,
-        }
+        ServiceSpec { queue: 1024 }
     }
 }
 

@@ -1,31 +1,27 @@
 //! Deterministic single-thread mode.
 //!
-//! The concurrent service trades exact reproducibility for throughput:
-//! batch composition depends on mailbox timing. This module is the
-//! reference mode — it drives the *same* memoized allocator through the
-//! discrete-event simulator's virtual clock, single-threaded, so a
-//! given trace always yields the same allocations and the same energy.
+//! The reference mode: it drives the service's allocator stack
+//! (`Proactive<ResilientModel<DbModel>>`) through the discrete-event
+//! simulator's virtual clock, single-threaded, so a given trace always
+//! yields the same allocations and the same energy.
 //!
-//! The memoization layer is **semantically transparent**: it caches the
-//! deterministic `(resident mix ⊎ pending block) → estimate` function,
-//! so `replay_deterministic` must equal a plain
+//! `DbModel` answers from a table holding exactly what the database's
+//! binary search returns, so `replay_deterministic` must equal a plain
 //! `Simulation::run(Proactive<DbModel>, …)` bit for bit — the
-//! `service_replay` integration test asserts exactly that, alongside a
-//! nonzero cache hit-rate.
+//! `service_replay` integration test asserts exactly that.
 
 use std::sync::Arc;
 
 use eavm_benchdb::ModelDatabase;
-use eavm_core::{
-    AllocationModel, DbModel, OptimizationGoal, Proactive, ResilientModel, SearchMetrics,
-};
+use eavm_core::{AllocationModel, DbModel, OptimizationGoal, SearchMetrics};
 use eavm_faults::{FaultPlan, LookupFaults};
 use eavm_simulator::{CloudConfig, SimOutcome, Simulation, SimulationError};
 use eavm_swf::VmRequest;
 use eavm_telemetry::{Counter, Telemetry};
 use eavm_types::Seconds;
 
-use crate::memo::{CacheMetrics, CacheStats, MemoModel};
+use crate::fleet::build_strategy;
+use crate::service::CacheStats;
 
 /// Configuration of a deterministic replay.
 #[derive(Debug, Clone)]
@@ -36,20 +32,18 @@ pub struct DeterministicConfig {
     pub deadlines: [Seconds; 3],
     /// QoS margin forwarded to the allocator.
     pub qos_margin: f64,
-    /// LRU capacity of the memoized model cache.
-    pub cache_capacity: usize,
     /// Record the per-interval allocation timeline in the outcome.
     pub timeline: bool,
-    /// Observability sink for the replay (cache, search, and simulator
+    /// Observability sink for the replay (model-table, search, and simulator
     /// instruments). Disabled by default; enabling it must not perturb
     /// the outcome — nothing on this path reads the wall clock.
     pub telemetry: Arc<Telemetry>,
     /// Deterministic fault plan: host crashes and degradations are
     /// injected into the simulator, and the plan's lookup-fault stream
     /// perturbs the allocator's model lookups through
-    /// [`ResilientModel`]. `None` replays faithfully. Because both
-    /// injections are pure functions of the plan, replays with the same
-    /// plan are byte-identical, telemetry on or off.
+    /// [`eavm_core::ResilientModel`]. `None` replays faithfully.
+    /// Because both injections are pure functions of the plan, replays
+    /// with the same plan are byte-identical, telemetry on or off.
     pub faults: Option<FaultPlan>,
 }
 
@@ -60,7 +54,6 @@ impl DeterministicConfig {
             goal,
             deadlines,
             qos_margin: 0.65,
-            cache_capacity: 4096,
             timeline: false,
             telemetry: Telemetry::disabled(),
             faults: None,
@@ -81,9 +74,9 @@ impl DeterministicConfig {
 }
 
 /// Replay `requests` through the discrete-event engine with the
-/// service's memoized allocator, single-threaded and fully
-/// reproducible. `ground_truth` is the simulator's physics model;
-/// the returned [`CacheStats`] describe the allocator-side cache and
+/// service's allocator, single-threaded and fully reproducible.
+/// `ground_truth` is the simulator's physics model; the returned
+/// [`CacheStats`] count the allocator's model-table lookups and
 /// the trailing `u64` counts model lookups answered by the analytic
 /// fallback under injected faults (always zero without a fault plan).
 pub fn replay_deterministic<G: AllocationModel>(
@@ -94,15 +87,14 @@ pub fn replay_deterministic<G: AllocationModel>(
     requests: &[VmRequest],
 ) -> Result<(SimOutcome, CacheStats, u64), SimulationError> {
     let tel = &config.telemetry;
-    let cache_metrics = if tel.is_enabled() {
-        CacheMetrics {
-            hits: tel.counter("replay.cache.hits"),
-            misses: tel.counter("replay.cache.misses"),
-            evictions: tel.counter("replay.cache.evictions"),
-            stripe: 0,
-        }
+    let model = if tel.is_enabled() {
+        DbModel::with_counters(
+            db,
+            tel.counter("replay.cache.hits"),
+            tel.counter("replay.cache.misses"),
+        )
     } else {
-        CacheMetrics::standalone()
+        DbModel::with_counters(db, Counter::standalone(), Counter::standalone())
     };
     let search_metrics = if tel.is_enabled() {
         SearchMetrics {
@@ -125,18 +117,15 @@ pub fn replay_deterministic<G: AllocationModel>(
     } else {
         Counter::standalone()
     };
-    let mut strategy = Proactive::new(
-        ResilientModel::with_faults(
-            MemoModel::with_metrics(DbModel::new(db), config.cache_capacity, cache_metrics),
-            lookup,
-            fallbacks,
-            0,
-        ),
+    let mut strategy = build_strategy(
+        model,
         config.goal,
         config.deadlines,
-    )
-    .with_qos_margin(config.qos_margin)
-    .with_search_metrics(search_metrics);
+        config.qos_margin,
+        search_metrics,
+        lookup,
+        fallbacks,
+    );
     let mut simulation =
         Simulation::new(ground_truth, cloud).with_telemetry(Arc::clone(&config.telemetry));
     if config.timeline {
@@ -146,7 +135,7 @@ pub fn replay_deterministic<G: AllocationModel>(
         simulation = simulation.with_faults(plan.clone());
     }
     let outcome = simulation.run(&mut strategy, requests)?;
-    let cache = strategy.model().inner().cache_stats();
+    let cache = CacheStats::of(strategy.model().inner());
     let fallbacks = strategy.model().model_fallbacks();
     Ok((outcome, cache, fallbacks))
 }
@@ -191,7 +180,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(cache_a.hits, cache_b.hits);
         assert_eq!(cache_a.misses, cache_b.misses);
-        assert!(cache_a.hits > 0, "expected repeat lookups to hit");
+        assert!(cache_a.hits > 0, "expected lookups answered by the table");
         assert_eq!((fb_a, fb_b), (0, 0), "no fault plan, no fallbacks");
     }
 }

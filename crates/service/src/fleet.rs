@@ -1,5 +1,5 @@
-//! The fleet: every server's placement state plus the one memoized
-//! allocator that searches it.
+//! The fleet: every server's placement state plus the one allocator
+//! that searches it.
 //!
 //! A [`Fleet`] is plain single-threaded state owned by the service's
 //! admission loop ([`crate::service`]); nothing else reads or writes
@@ -37,13 +37,12 @@ use eavm_faults::LookupFaults;
 use eavm_telemetry::Counter;
 use eavm_types::{EavmError, Joules, MixVector, Seconds, ServerId, WorkloadType};
 
-use crate::memo::{CacheMetrics, CacheStats, MemoModel};
+use crate::service::CacheStats;
 
-/// The service's allocator: the memoized empirical model behind a
-/// fault-tolerant wrapper. The resilient layer sits *outside* the memo
-/// so a degraded analytic answer is never cached as if it were the
-/// empirical one.
-pub(crate) type ServiceStrategy = Proactive<ResilientModel<MemoModel<DbModel>>>;
+/// The service's allocator: the empirical model behind a fault-tolerant
+/// wrapper. A faulted lookup is answered by the wrapper's analytic
+/// fallback and never reaches the model's table.
+pub(crate) type ServiceStrategy = Proactive<ResilientModel<DbModel>>;
 
 /// One resident VM with its estimated completion instant (fixed at
 /// commit, from the post-placement mix).
@@ -328,9 +327,9 @@ impl Fleet {
         self.estimated_energy
     }
 
-    /// The allocator's model-cache counters.
+    /// The allocator's model-table counters.
     pub(crate) fn cache_stats(&self) -> CacheStats {
-        self.strategy.model().inner().cache_stats()
+        CacheStats::of(self.strategy.model().inner())
     }
 
     /// Model lookups answered by the analytic fallback after an injected
@@ -340,31 +339,20 @@ impl Fleet {
     }
 }
 
-/// Build the service's allocator, counting cache traffic into
-/// `cache_metrics`, partition-search work into `search_metrics`, and
+/// Build the service's allocator over `model`, counting
+/// partition-search work into `search_metrics` and
 /// injected-lookup-failure fallbacks into `fallbacks`.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "each argument is a separate instrument or knob of the one allocator"
-)]
 pub(crate) fn build_strategy(
-    db: eavm_benchdb::ModelDatabase,
-    cache_capacity: usize,
+    model: DbModel,
     goal: OptimizationGoal,
     deadlines: [Seconds; 3],
     qos_margin: f64,
-    cache_metrics: CacheMetrics,
     search_metrics: eavm_core::SearchMetrics,
     lookup_faults: LookupFaults,
     fallbacks: Counter,
 ) -> ServiceStrategy {
     Proactive::new(
-        ResilientModel::with_faults(
-            MemoModel::with_metrics(DbModel::new(db), cache_capacity, cache_metrics),
-            lookup_faults,
-            fallbacks,
-            0,
-        ),
+        ResilientModel::with_faults(model, lookup_faults, fallbacks, 0),
         goal,
         deadlines,
     )
@@ -385,12 +373,10 @@ mod tests {
     fn fleet(n: usize) -> Fleet {
         let db = DbBuilder::exact().build().expect("db");
         let strategy = build_strategy(
-            db,
-            256,
+            DbModel::new(db),
             OptimizationGoal::BALANCED,
             deadlines(),
             1.0,
-            CacheMetrics::standalone(),
             eavm_core::SearchMetrics::default(),
             LookupFaults::disabled(),
             Counter::standalone(),

@@ -5,18 +5,13 @@
 //! this crate keeps the fleet resident and serves a live stream of VM
 //! requests.
 //!
-//! Three layers, bottom-up:
+//! Two layers, bottom-up:
 //!
-//! * [`memo`] — [`memo::MemoModel`]: a semantically transparent LRU
-//!   memoization layer over any [`eavm_core::AllocationModel`]. The
-//!   PROACTIVE partition search evaluates the same
-//!   `(resident mix ⊎ pending block)` keys over and over — the cache
-//!   (keyed on the packed [`eavm_core::MixKey`]) turns each repeat
-//!   into an O(1) hit and counts hits/misses/evictions.
-//! * `fleet` — every server's placement state plus the one memoized
-//!   allocator that searches it: plain single-threaded state with
-//!   search, commit, clock-advance, migration and checkpoint
-//!   operations.
+//! * `fleet` — every server's placement state plus the one allocator
+//!   that searches it (`Proactive<ResilientModel<DbModel>>`, whose
+//!   [`eavm_core::DbModel`] answers every hostable mix from a dense
+//!   per-mix table): plain single-threaded state with search, commit,
+//!   clock-advance, migration and checkpoint operations.
 //! * [`service`] — [`service::AllocService`]: one deterministic
 //!   single-writer admission loop on one thread. It owns the fleet
 //!   and takes requests one at a time, in arrival order: journal the
@@ -36,9 +31,8 @@
 //! `model_fallbacks`.
 //!
 //! [`deterministic::replay_deterministic`] is the discrete-event
-//! reference mode: the same memoized allocator driven by the simulator
-//! engine, reproducing `Simulation::run` exactly (the memo layer is
-//! provably invisible to allocation decisions — the `service_replay`
+//! reference mode: the same allocator driven by the simulator engine,
+//! reproducing `Simulation::run` exactly (the `service_replay`
 //! integration test pins this down).
 
 #![forbid(unsafe_code)]
@@ -50,14 +44,12 @@ pub mod deterministic;
 pub mod durable;
 mod fleet;
 mod journaled;
-pub mod memo;
 pub mod service;
 
 pub use deterministic::{replay_deterministic, DeterministicConfig};
 pub use durable::{verdict_line, DurabilityConfig, DurabilityStats, RecoveryReport};
-pub use memo::{CacheMetrics, CacheStats, MemoModel};
 pub use service::{
-    drive_paced, replay_online, AllocService, DrainReport, ReplayReport, ServiceConfig,
+    drive_paced, replay_online, AllocService, CacheStats, DrainReport, ReplayReport, ServiceConfig,
     ServiceStats, ShedReason, SubmitOutcome, Verdict,
 };
 

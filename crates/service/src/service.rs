@@ -34,7 +34,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use eavm_benchdb::ModelDatabase;
-use eavm_core::{OptimizationGoal, Placement, RequestView, SearchMetrics};
+use eavm_core::{DbModel, OptimizationGoal, Placement, RequestView, SearchMetrics};
 use eavm_faults::LookupFaults;
 use eavm_overload::{OverloadConfig, OverloadPlane, OverloadSnapshot, Priority};
 use eavm_swf::VmRequest;
@@ -52,7 +52,6 @@ use crate::durable::{
 };
 use crate::fleet::{build_strategy, Fleet};
 use crate::journaled::{self, AckTx, Journaled};
-use crate::memo::{CacheMetrics, CacheStats};
 
 /// Tuning knobs for [`AllocService::start`].
 #[derive(Debug, Clone)]
@@ -65,8 +64,6 @@ pub struct ServiceConfig {
     pub servers: usize,
     /// Bound of the admission channel *and* of the parked wait queue.
     pub queue_capacity: usize,
-    /// LRU capacity of the allocator's model cache.
-    pub cache_capacity: usize,
     /// PROACTIVE optimization goal α.
     pub goal: OptimizationGoal,
     /// Per-type response-time deadlines (Cpu, Mem, Io).
@@ -112,7 +109,6 @@ impl ServiceConfig {
             shards,
             servers,
             queue_capacity: 1024,
-            cache_capacity: 4096,
             goal: OptimizationGoal::BALANCED,
             deadlines: [Seconds(5400.0), Seconds(4500.0), Seconds(4050.0)],
             qos_margin: 0.65,
@@ -297,6 +293,36 @@ impl ShedReason {
     }
 }
 
+/// Lookup counters of the allocator's [`DbModel`] table, exposed in
+/// [`ServiceStats`] and by [`crate::replay_deterministic`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheStats {
+    /// Lookups answered from the model's per-mix table.
+    pub hits: u64,
+    /// Lookups that fell through to the database itself.
+    pub misses: u64,
+}
+
+impl CacheStats {
+    /// The counters of `model`'s table.
+    pub(crate) fn of(model: &DbModel) -> CacheStats {
+        CacheStats {
+            hits: model.table_hits(),
+            misses: model.table_misses(),
+        }
+    }
+
+    /// Hit rate in `[0, 1]` (0 when no lookups happened).
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
+
 /// Service counters, assembled by [`AllocService::stats`].
 #[derive(Debug, Clone, Default)]
 pub struct ServiceStats {
@@ -329,7 +355,7 @@ pub struct ServiceStats {
     /// Model lookups answered by the analytic fallback after an
     /// injected transient failure.
     pub model_fallbacks: u64,
-    /// The allocator's model-cache counters.
+    /// The allocator's model-table counters.
     pub cache: CacheStats,
     /// Current virtual time.
     pub virtual_now: Seconds,
@@ -493,12 +519,10 @@ impl AllocService {
         let mut fleet = Fleet::new(
             config.servers,
             build_strategy(
-                db,
-                config.cache_capacity,
+                db_model(db, &telemetry),
                 config.goal,
                 config.deadlines,
                 config.qos_margin,
-                cache_metrics(&telemetry),
                 search_metrics(&telemetry),
                 config.lookup_faults,
                 if telemetry.is_enabled() {
@@ -745,22 +769,22 @@ impl Drop for AllocService {
     }
 }
 
-/// Cache counters: registry handles when telemetry is enabled, private
-/// standalone counters otherwise.
-fn cache_metrics(telemetry: &Telemetry) -> CacheMetrics {
+/// The allocator's empirical model. Its table counters are registry
+/// handles when telemetry is enabled, private standalone counters
+/// otherwise.
+fn db_model(db: ModelDatabase, telemetry: &Telemetry) -> DbModel {
     if telemetry.is_enabled() {
-        CacheMetrics {
-            hits: telemetry.counter("service.cache.hits"),
-            misses: telemetry.counter("service.cache.misses"),
-            evictions: telemetry.counter("service.cache.evictions"),
-            stripe: 0,
-        }
+        DbModel::with_counters(
+            db,
+            telemetry.counter("service.cache.hits"),
+            telemetry.counter("service.cache.misses"),
+        )
     } else {
-        CacheMetrics::standalone()
+        DbModel::with_counters(db, Counter::standalone(), Counter::standalone())
     }
 }
 
-/// Partition-search counters; see [`cache_metrics`].
+/// Partition-search counters; see [`db_model`].
 fn search_metrics(telemetry: &Telemetry) -> SearchMetrics {
     if telemetry.is_enabled() {
         SearchMetrics {
