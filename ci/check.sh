@@ -83,6 +83,33 @@ PERF_OUT="$(cargo run --release --offline --quiet \
     --manifest-path perfbench/Cargo.toml -- --workload all --seconds 0)"
 [[ "$(tail -n 1 <<< "$PERF_OUT")" == *'"correct": true'* ]] \
     || { echo "perfbench smoke: a pass was not correct"; echo "$PERF_OUT"; exit 1; }
+# The same run prints the ladder's deterministic work counts for the
+# default seed (per request, six decimals). They depend only on the
+# trace and the decisions, never on the host, so they are gated
+# exactly. A change that moves a count updates its value here in the
+# same change and says why in CHANGES.md.
+awk '
+    BEGIN {
+        want["core.proactive.searches_per_req"] = "1.879024"
+        want["core.proactive.partitions_per_req"] = "5.769115"
+        want["core.proactive.pruned_per_req"] = "464.513078"
+        want["core.model.calls_per_req"] = "298.318410"
+        want["service.memo.lookups_per_req"] = "223.326962"
+        want["service.search.partitions_per_req"] = "3.699950"
+        want["durability.frames_per_req"] = "2.359909"
+    }
+    ($1 in want) { got[$1] = $2 }
+    END {
+        bad = 0
+        for (k in want) {
+            v = (k in got) ? got[k] : "missing"
+            if (v != want[k]) {
+                print "perfbench counts: " k " = " v ", want " want[k]
+                bad = 1
+            }
+        }
+        exit bad
+    }' <<< "$PERF_OUT" || exit 1
 
 echo "==> cargo doc --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace

@@ -10,7 +10,9 @@ use eavm_benchdb::{DbBuilder, ModelDatabase};
 use eavm_core::strategy::{RequestView, ServerView};
 use eavm_core::{AllocationModel, AllocationStrategy, DbModel, OptimizationGoal, Proactive};
 use eavm_faults::{FaultConfig, FaultPlan, LookupFaults};
-use eavm_partitions::{multiset_partitions, multiset_partitions_capped, SetPartitions};
+use eavm_partitions::{
+    multiset_partitions, multiset_partitions_capped, IntegerPartitions, SetPartitions,
+};
 use eavm_testbed::{ApplicationProfile, RunSimulator};
 use eavm_types::{JobId, MixVector, Seconds, ServerId, WorkloadType};
 
@@ -25,6 +27,21 @@ fn bench_partitions(c: &mut Criterion) {
         // A full burst: 5 jobs x 4 VMs across 3 types, block size <= 10,
         // bounded at the allocator's real search cap (4096 partitions).
         b.iter(|| multiset_partitions_capped(black_box(&[8, 6, 6]), 10, 4_096).len())
+    });
+    // The single-type stream the allocator walks, in place.
+    fn count_integer_partitions(n: u32, max_part: u32) -> usize {
+        let mut parts = IntegerPartitions::new(n, max_part);
+        let mut count = 0;
+        while parts.next_partition().is_some() {
+            count += 1;
+        }
+        count
+    }
+    c.bench_function("integer_partitions_4", |b| {
+        b.iter(|| count_integer_partitions(black_box(4), 4))
+    });
+    c.bench_function("integer_partitions_20_max10", |b| {
+        b.iter(|| count_integer_partitions(black_box(20), 10))
     });
 }
 

@@ -4,17 +4,23 @@
 //! diagram:
 //!
 //! 1. **Partition search** — enumerate the set partitions of the
-//!    request's VMs. VMs of one request share a workload profile, so the
-//!    multiset enumeration from `eavm-partitions` is used (Orlov's RGS
-//!    generator backs the general case; for `n` interchangeable VMs the
-//!    candidates collapse to the integer partitions of `n`).
+//!    request's VMs. VMs of one request share a workload profile, so
+//!    the candidates collapse to the integer partitions of the VM
+//!    count, which [`IntegerPartitions`] steps through in place
+//!    (largest block first; the same order as the multiset enumeration
+//!    of `eavm-partitions`, whose Orlov RGS generator backs the general
+//!    labelled case).
 //! 2. **Per-block placement** — for each block of a partition, evaluate
-//!    every active server plus one powered-off server: the block joins
-//!    the server's current mix, the resulting mix is checked against the
-//!    model's hostable bounds and the per-type QoS deadlines (estimated
-//!    execution time of *every* resident type must stay within its
-//!    deadline), and the feasible candidates are ranked by the
-//!    optimization goal. Ties choose "the first server of the list".
+//!    every active server plus one powered-off server per platform: the
+//!    block joins the server's current mix, the resulting mix is checked
+//!    against the model's hostable bounds and the per-type QoS deadlines
+//!    (estimated execution time of *every* resident type must stay
+//!    within its deadline), and the feasible candidates are ranked by
+//!    the optimization goal. Ties choose "the first server of the list".
+//!    One estimate of the new mix answers both the check and the score.
+//!    A server no earlier block of the partition joined is evaluated at
+//!    most once per block size per search; every candidate is still
+//!    visited in list order.
 //! 3. **Partition ranking** — each fully placed partition is scored as
 //!    `α·(Ê/Ê_min) + (1−α)·(T̂/T̂_min)` where `Ê` is the summed
 //!    incremental run energy of its placements and `T̂` the slowest
@@ -23,7 +29,7 @@
 //! Returning [`EavmError::Infeasible`] (no partition places) tells the
 //! simulator to queue the request, exactly like a saturated cloud.
 
-use eavm_partitions::multiset_partitions_capped;
+use eavm_partitions::IntegerPartitions;
 use eavm_telemetry::Counter;
 use eavm_types::{EavmError, Joules, MixVector, Seconds, WorkloadType};
 
@@ -53,8 +59,7 @@ impl Default for SearchCaps {
 /// without [`Proactive::with_search_metrics`] pays nothing.
 ///
 /// Counts are accumulated locally during a search and flushed with one
-/// atomic add per counter at the end, onto `stripe` — sharded services
-/// give each worker its own stripe of one shared counter.
+/// atomic add per counter at the end.
 #[derive(Debug, Clone, Default)]
 pub struct SearchMetrics {
     /// Searches run (one per [`Proactive::explain`] call).
@@ -65,16 +70,10 @@ pub struct SearchMetrics {
     pub partitions_feasible: Counter,
     /// Per-block server candidates rejected by hostability/QoS checks.
     pub candidates_pruned: Counter,
-    /// Stripe index this allocator writes (wraps modulo stripe count).
+    /// Unused: the counters are flushed with a plain add. Kept so code
+    /// that builds `SearchMetrics` by its fields (the perfbench ladder)
+    /// still compiles.
     pub stripe: usize,
-}
-
-/// One fully scored partition candidate.
-#[derive(Debug, Clone)]
-struct Candidate {
-    placements: Vec<Placement>,
-    energy: Joules,
-    time: Seconds,
 }
 
 /// One explained partition candidate: the Fig. 3 "rank" step's working
@@ -191,90 +190,122 @@ impl<M: AllocationModel> Proactive<M> {
         self.goal
     }
 
-    /// Check hostability + QoS of a tentative mix on a given platform.
-    fn feasible(&self, mix: MixVector, platform: u32) -> bool {
-        let model = self.model_for(platform);
-        if !mix.fits_within(&model.max_mix()) {
-            return false;
+    /// Evaluate `block` joining a server that holds `old`, under the
+    /// server's platform `model`: one estimate of the new mix serves the
+    /// hostability-then-QoS check and the score. `old_energy` is asked
+    /// only once the candidate is feasible, and only for a non-empty
+    /// `old`.
+    fn evaluate(
+        &self,
+        model: &M,
+        old: MixVector,
+        block: MixVector,
+        old_energy: impl FnOnce() -> Option<Joules>,
+    ) -> Eval {
+        let new_mix = old + block;
+        if !new_mix.fits_within(&model.max_mix()) {
+            return Eval::Pruned;
         }
-        if !self.enforce_qos {
-            return true;
-        }
-        match model.estimate_mix(mix) {
-            Ok(est) => WorkloadType::ALL
+        let Ok(est) = model.estimate_mix(new_mix) else {
+            return Eval::Pruned;
+        };
+        if self.enforce_qos
+            && !WorkloadType::ALL
                 .into_iter()
                 .all(|ty| match est.time_of(ty) {
                     Some(t) => t <= self.deadlines[ty.index()] * self.qos_margin,
                     None => true,
-                }),
-            Err(_) => false,
+                })
+        {
+            return Eval::Pruned;
         }
+        let old_energy = if old.is_empty() {
+            Joules::ZERO
+        } else {
+            match old_energy() {
+                Some(e) => e,
+                None => return Eval::Skipped,
+            }
+        };
+        let d_energy = (est.energy - old_energy).max(Joules::ZERO);
+        // The block's VMs share the request's profile(s); the block
+        // finishes when its slowest type does.
+        let block_time = WorkloadType::ALL
+            .into_iter()
+            .filter(|&ty| block[ty] > 0)
+            .filter_map(|ty| est.time_of(ty))
+            .fold(Seconds::ZERO, Seconds::max);
+        Eval::Scored(d_energy, block_time)
     }
 
-    /// Place the blocks of one partition greedily, returning the scored
-    /// candidate if every block fits. `pruned` accumulates the per-block
-    /// server candidates rejected by hostability/QoS.
-    fn place_partition(
-        &self,
-        blocks: &[MixVector],
-        servers: &[ServerView],
-        pruned: &mut u64,
-    ) -> Option<Candidate> {
-        // Tentative per-server mixes, updated as blocks commit.
-        let mut mixes: Vec<MixVector> = servers.iter().map(|s| s.mix).collect();
-        let mut adds: Vec<MixVector> = vec![MixVector::EMPTY; servers.len()];
+    /// Place the blocks of one partition greedily, leaving the
+    /// partition's per-server adds in `search.adds`; returns the summed
+    /// incremental energy and the slowest block's time if every block
+    /// fits.
+    fn place_partition(&self, parts: &[u32], search: &mut Search<'_>) -> Option<(Joules, Seconds)> {
+        for (i, _) in search.adds.drain(..) {
+            search.slots[i].add = None;
+        }
+        let servers = search.servers;
         let mut energy = Joules::ZERO;
         let mut time = Seconds::ZERO;
 
-        for block in blocks {
+        for &size in parts {
+            let block = MixVector::single(search.workload, size);
+            let row = (size as usize - 1) * servers.len();
+            let mut best: Option<(usize, Joules, Seconds)> = None;
             // Candidate servers: every currently non-empty (tentative)
             // server in list order, plus the first empty one *per
             // platform* — empty servers of one platform are
             // interchangeable, and the paper breaks ties by "the first
             // server of the list".
-            let mut best: Option<(usize, Joules, Seconds)> = None;
-            let mut candidates: Vec<usize> = Vec::with_capacity(servers.len());
-            let mut empty_seen: Vec<u32> = Vec::new();
-            for (i, m) in mixes.iter().enumerate() {
-                if m.is_empty() {
-                    let platform = servers[i].platform;
-                    if !empty_seen.contains(&platform) {
-                        candidates.push(i);
-                        empty_seen.push(platform);
+            for (i, server) in servers.iter().enumerate() {
+                let model = self.model_for(server.platform);
+                let eval = match search.slots[i].add {
+                    // A server an earlier block of this partition joined
+                    // is evaluated afresh against its tentative mix.
+                    Some(a) => {
+                        let old = server.mix + search.adds[a].1;
+                        self.evaluate(model, old, block, || model.run_energy(old).ok())
                     }
-                } else {
-                    candidates.push(i);
-                }
-            }
-
-            for i in candidates {
-                let platform = servers[i].platform;
-                let model = self.model_for(platform);
-                let new_mix = mixes[i] + *block;
-                if !self.feasible(new_mix, platform) {
-                    *pruned += 1;
-                    continue;
-                }
-                let Ok(new_est) = model.estimate_mix(new_mix) else {
-                    *pruned += 1;
-                    continue;
-                };
-                let old_energy = if mixes[i].is_empty() {
-                    Joules::ZERO
-                } else {
-                    match model.run_energy(mixes[i]) {
-                        Ok(e) => e,
-                        Err(_) => continue,
+                    None => {
+                        // Only the first tentatively empty server of a
+                        // platform is a candidate. Empties of a platform
+                        // are joined in list order, so that is the one
+                        // whose previous same-platform empty (if any) has
+                        // been joined.
+                        if server.mix.is_empty()
+                            && search.slots[i]
+                                .prev_empty
+                                .is_some_and(|j| search.slots[j].add.is_none())
+                        {
+                            continue;
+                        }
+                        // Untouched: `(size, server)` fixes the answer,
+                        // so it is computed once per search.
+                        match search.cache[row + i] {
+                            Some(eval) => eval,
+                            None => {
+                                let slot = &mut search.slots[i];
+                                let eval = self.evaluate(model, server.mix, block, || {
+                                    *slot
+                                        .old_energy
+                                        .get_or_insert_with(|| model.run_energy(server.mix).ok())
+                                });
+                                search.cache[row + i] = Some(eval);
+                                eval
+                            }
+                        }
                     }
                 };
-                let d_energy = (new_est.energy - old_energy).max(Joules::ZERO);
-                // The block's VMs share the request's profile(s); the
-                // block finishes when its slowest type does.
-                let block_time = WorkloadType::ALL
-                    .into_iter()
-                    .filter(|&ty| block[ty] > 0)
-                    .filter_map(|ty| new_est.time_of(ty))
-                    .fold(Seconds::ZERO, Seconds::max);
+                let (d_energy, block_time) = match eval {
+                    Eval::Scored(e, t) => (e, t),
+                    Eval::Pruned => {
+                        search.pruned += 1;
+                        continue;
+                    }
+                    Eval::Skipped => continue,
+                };
 
                 let better = match &best {
                     None => true,
@@ -286,7 +317,8 @@ impl<M: AllocationModel> Proactive<M> {
                         // candidates with an equal (mix, platform) key
                         // must still each be visited, in list order:
                         // one that lost to an earlier incumbent can beat
-                        // a later one.
+                        // a later one. The cache above only saves the
+                        // lookups; it never skips a visit.
                         let e_norm = d_energy.value() / be.value().max(f64::MIN_POSITIVE);
                         let t_norm = block_time.value() / bt.value().max(f64::MIN_POSITIVE);
                         self.goal.score(e_norm, t_norm) < 1.0 - 1e-12
@@ -298,35 +330,19 @@ impl<M: AllocationModel> Proactive<M> {
             }
 
             let (i, d_energy, block_time) = best?;
-            mixes[i] += *block;
-            adds[i] += *block;
+            match search.slots[i].add {
+                Some(a) => search.adds[a].1 += block,
+                None => {
+                    search.slots[i].add = Some(search.adds.len());
+                    search.adds.push((i, block));
+                }
+            }
             energy += d_energy;
             time = time.max(block_time);
         }
-
-        let placements: Vec<Placement> = servers
-            .iter()
-            .zip(&adds)
-            .filter(|(_, add)| !add.is_empty())
-            .map(|(s, add)| Placement {
-                server: s.id,
-                add: *add,
-            })
-            .collect();
-        Some(Candidate {
-            placements,
-            energy,
-            time,
-        })
+        Some((energy, time))
     }
-}
 
-/// Convert a multiset-partition block (per-type counts) to a mix vector.
-fn block_to_mix(block: &[u32]) -> MixVector {
-    MixVector::new(block[0], block[1], block[2])
-}
-
-impl<M: AllocationModel> Proactive<M> {
     /// Enumerate and score every feasible partition candidate for a
     /// request — the full working data of the Fig. 3 "rank the
     /// partitions" step. The candidate [`AllocationStrategy::allocate`]
@@ -339,7 +355,6 @@ impl<M: AllocationModel> Proactive<M> {
         servers: &[ServerView],
     ) -> Result<Vec<PartitionCandidate>, EavmError> {
         let mix = request.mix();
-        let counts = [mix.cpu, mix.mem, mix.io];
         // Blocks can never exceed the deepest hostable bound for the
         // request's type across the fleet's platforms, so cap block size
         // up front to prune the enumeration.
@@ -362,34 +377,56 @@ impl<M: AllocationModel> Proactive<M> {
             )));
         }
 
+        let mut search = Search::new(request, servers, max_block);
         let mut min_energy = f64::INFINITY;
         let mut min_time = f64::INFINITY;
-        let mut scored: Vec<(Vec<MixVector>, Candidate)> = Vec::new();
-        let parts = multiset_partitions_capped(&counts, max_block, self.caps.max_partitions);
+        let mut out: Vec<PartitionCandidate> = Vec::new();
+        // A request's VMs share one profile, so its partitions are the
+        // integer partitions of its VM count.
+        let mut parts = IntegerPartitions::new(request.vm_count, max_block);
         let mut evaluated = 0u64;
-        let mut pruned = 0u64;
-        for part in parts {
+        while evaluated < self.caps.max_partitions as u64 {
+            let Some(part) = parts.next_partition() else {
+                break;
+            };
             evaluated += 1;
-            let blocks: Vec<MixVector> = part.iter().map(|b| block_to_mix(b)).collect();
-            if let Some(c) = self.place_partition(&blocks, servers, &mut pruned) {
-                min_energy = min_energy.min(c.energy.value());
-                min_time = min_time.min(c.time.value());
-                scored.push((blocks, c));
-            }
+            let Some((energy, time)) = self.place_partition(part, &mut search) else {
+                continue;
+            };
+            min_energy = min_energy.min(energy.value());
+            min_time = min_time.min(time.value());
+            search.adds.sort_unstable_by_key(|&(i, _)| i);
+            out.push(PartitionCandidate {
+                blocks: part
+                    .iter()
+                    .map(|&size| MixVector::single(request.workload, size))
+                    .collect(),
+                placements: search
+                    .adds
+                    .iter()
+                    .map(|&(i, add)| Placement {
+                        server: servers[i].id,
+                        add,
+                    })
+                    .collect(),
+                energy,
+                time,
+                score: 0.0,
+                chosen: false,
+            });
         }
         // One flush per search keeps the hot loop free of atomics.
         let m = &self.metrics;
-        m.searches.add_on(m.stripe, 1);
-        m.partitions_evaluated.add_on(m.stripe, evaluated);
-        m.partitions_feasible.add_on(m.stripe, scored.len() as u64);
-        m.candidates_pruned.add_on(m.stripe, pruned);
+        m.searches.add(1);
+        m.partitions_evaluated.add(evaluated);
+        m.partitions_feasible.add(out.len() as u64);
+        m.candidates_pruned.add(search.pruned);
 
         // Normalize against the best-in-class values so α weighs two
         // comparable dimensionless quantities; the strict comparison
         // keeps the earliest (first-listed) partition on ties.
-        let mut out: Vec<PartitionCandidate> = Vec::with_capacity(scored.len());
         let mut best: Option<(f64, usize)> = None;
-        for (i, (blocks, c)) in scored.into_iter().enumerate() {
+        for (i, c) in out.iter_mut().enumerate() {
             let e_norm = if min_energy > 0.0 {
                 c.energy.value() / min_energy
             } else {
@@ -400,23 +437,86 @@ impl<M: AllocationModel> Proactive<M> {
             } else {
                 1.0
             };
-            let score = self.goal.score(e_norm, t_norm);
-            if best.is_none_or(|(s, _)| score < s - 1e-12) {
-                best = Some((score, i));
+            c.score = self.goal.score(e_norm, t_norm);
+            if best.is_none_or(|(s, _)| c.score < s - 1e-12) {
+                best = Some((c.score, i));
             }
-            out.push(PartitionCandidate {
-                blocks,
-                placements: c.placements,
-                energy: c.energy,
-                time: c.time,
-                score,
-                chosen: false,
-            });
         }
         if let Some((_, i)) = best {
             out[i].chosen = true;
         }
         Ok(out)
+    }
+}
+
+/// What one block joining one server comes to.
+#[derive(Debug, Clone, Copy)]
+enum Eval {
+    /// Not hostable, over a QoS deadline, or the estimate failed.
+    Pruned,
+    /// The server's current run energy could not be looked up.
+    Skipped,
+    /// Feasible: incremental run energy and the block's time.
+    Scored(Joules, Seconds),
+}
+
+/// Per-server working state of one search.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// Run energy of the server's snapshot mix, looked up on first need
+    /// (`Some(None)` when the lookup failed).
+    old_energy: Option<Option<Joules>>,
+    /// The previous server in the list with an empty snapshot mix on the
+    /// same platform, if this one's is empty too.
+    prev_empty: Option<usize>,
+    /// Index into [`Search::adds`] once a block of the current partition
+    /// joined this server.
+    add: Option<usize>,
+}
+
+/// The working state of one [`Proactive::explain`] call: allocated once
+/// per search, reused by every partition and block.
+struct Search<'a> {
+    servers: &'a [ServerView],
+    workload: WorkloadType,
+    /// Evaluations against the snapshot mixes, indexed
+    /// `(block size − 1) × servers + server`; exact because the snapshot
+    /// fixes the old mix and the request fixes the block.
+    cache: Vec<Option<Eval>>,
+    slots: Vec<Slot>,
+    /// The current partition's `(server, add)` list, at most one entry
+    /// per block.
+    adds: Vec<(usize, MixVector)>,
+    /// Visited candidates rejected by hostability/QoS, cached or not.
+    pruned: u64,
+}
+
+impl<'a> Search<'a> {
+    fn new(request: &RequestView, servers: &'a [ServerView], max_block: u32) -> Self {
+        let sizes = max_block.min(request.vm_count) as usize;
+        let mut slots = vec![Slot::default(); servers.len()];
+        // The last empty server seen per platform; fleets have a handful.
+        let mut last_empty: Vec<(u32, usize)> = Vec::new();
+        for (i, server) in servers.iter().enumerate() {
+            if !server.mix.is_empty() {
+                continue;
+            }
+            match last_empty.iter_mut().find(|(p, _)| *p == server.platform) {
+                Some((_, last)) => {
+                    slots[i].prev_empty = Some(*last);
+                    *last = i;
+                }
+                None => last_empty.push((server.platform, i)),
+            }
+        }
+        Search {
+            servers,
+            workload: request.workload,
+            cache: vec![None; sizes * servers.len()],
+            slots,
+            adds: Vec::with_capacity(request.vm_count as usize),
+            pruned: 0,
+        }
     }
 }
 

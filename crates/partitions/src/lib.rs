@@ -10,7 +10,7 @@
 //! Orlov's algorithm steps through RGSs in lexicographic order with O(n)
 //! work per step using an auxiliary array `m[i] = 1 + max(k[0..i])`.
 //!
-//! Three enumeration surfaces are provided:
+//! Four enumeration surfaces are provided:
 //!
 //! * [`SetPartitions`] — all partitions of an `n`-element set (Bell(n)
 //!   many).
@@ -22,6 +22,11 @@
 //!   types, where VMs of the same type are interchangeable: vastly fewer
 //!   candidates than Bell(n) when a job request's VMs share one profile,
 //!   which is exactly the paper's workload shape.
+//! * [`IntegerPartitions`] — the one-type special case of
+//!   [`multiset_partitions`], in the same order: the partitions of `n`
+//!   interchangeable items, advanced in place in one reused buffer. The
+//!   PROACTIVE allocator's requests are single-typed, so this is what
+//!   its search walks.
 
 #![forbid(unsafe_code)]
 // D4: replay-critical state compares floats only through `total_cmp`
@@ -29,9 +34,11 @@
 #![deny(clippy::float_cmp, clippy::float_cmp_const)]
 
 pub mod counting;
+pub mod integer;
 pub mod multiset;
 pub mod rgs;
 
 pub use counting::{bell_number, stirling2};
+pub use integer::IntegerPartitions;
 pub use multiset::{multiset_partitions, multiset_partitions_capped, MultisetPart};
 pub use rgs::{BoundedPartitions, Partition, SetPartitions};

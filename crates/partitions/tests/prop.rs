@@ -1,7 +1,8 @@
 //! Property-based tests for the partition generators.
 
 use eavm_partitions::{
-    bell_number, multiset_partitions, rgs::is_valid_rgs, BoundedPartitions, SetPartitions,
+    bell_number, multiset_partitions, multiset_partitions_capped, rgs::is_valid_rgs,
+    BoundedPartitions, IntegerPartitions, SetPartitions,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -92,5 +93,31 @@ proptest! {
     fn multiset_is_never_larger_than_labelled(n in 1u32..8) {
         let ms = multiset_partitions(&[n], u32::MAX).len() as u128;
         prop_assert!(ms <= bell_number(n as usize));
+    }
+}
+
+/// The in-place integer stream is the one-type multiset enumeration:
+/// same partitions, same order, and the same prefix under a cap, for
+/// every `n <= 24` and every part bound.
+#[test]
+fn integer_partitions_match_one_type_multiset_partitions() {
+    for n in 0..=24u32 {
+        for max_part in 0..=n {
+            for cap in [1usize, 2, 3, usize::MAX] {
+                let want: Vec<Vec<u32>> = multiset_partitions_capped(&[n], max_part, cap)
+                    .into_iter()
+                    .map(|p| p.into_iter().map(|block| block[0]).collect())
+                    .collect();
+                let mut stream = IntegerPartitions::new(n, max_part);
+                let mut got = Vec::new();
+                while got.len() < cap {
+                    let Some(p) = stream.next_partition() else {
+                        break;
+                    };
+                    got.push(p.to_vec());
+                }
+                assert_eq!(got, want, "n={n} max_part={max_part} cap={cap}");
+            }
+        }
     }
 }

@@ -1,10 +1,9 @@
 //! Integration: the service's deterministic replay mode is bit-exact
-//! against the batch simulator. The memoization layer in front of the
-//! model must be semantically transparent — `replay_deterministic`
-//! (Proactive over the memoized DbModel) and a plain `Simulation::run`
-//! (Proactive over the bare DbModel) must make the same allocation
+//! against the batch simulator. `replay_deterministic` (Proactive over
+//! the counted, fault-wrapped DbModel) and a plain `Simulation::run`
+//! (Proactive over a bare DbModel) must make the same allocation
 //! decisions, interval for interval, and report the same total energy,
-//! while the cache demonstrably shortcuts repeat lookups.
+//! while the model's per-mix table demonstrably answers the lookups.
 
 use std::sync::Arc;
 
@@ -49,7 +48,7 @@ fn deterministic_replay_matches_batch_simulation_exactly() {
     let cloud = CloudConfig::new("REPLAY", 6).unwrap();
     let dl = deadlines(&db, 3.0);
 
-    // Reference: the batch simulator with the unmemoized model.
+    // Reference: the batch simulator with a bare model.
     let mut reference = Proactive::new(DbModel::new(db.clone()), OptimizationGoal::BALANCED, dl)
         .with_qos_margin(0.65);
     let expected = Simulation::new(AnalyticModel::reference(), cloud.clone())
@@ -57,8 +56,8 @@ fn deterministic_replay_matches_batch_simulation_exactly() {
         .run(&mut reference, &requests)
         .unwrap();
 
-    // Service path: same allocator stack plus the memoization layer,
-    // with telemetry ENABLED — instruments must observe the replay
+    // Service path: the service's allocator stack (table counters and
+    // the fault wrapper around the same model), with telemetry ENABLED — instruments must observe the replay
     // without perturbing a single allocation decision.
     let telemetry = Telemetry::new();
     let mut config = DeterministicConfig::new(OptimizationGoal::BALANCED, dl)
@@ -80,7 +79,7 @@ fn deterministic_replay_matches_batch_simulation_exactly() {
         requests.iter().map(|r| r.vm_count).sum()
     );
 
-    // And the cache was genuinely exercised, not bypassed.
+    // And the model's table answered lookups, not the fall-through.
     assert!(cache.hits > 0, "memo cache never hit: {cache:?}");
     assert!(
         cache.hit_rate() > 0.5,
