@@ -136,8 +136,9 @@ echo "==> crash-loop smoke (durable service recovery)"
 # loop decides one request at a time, so the verdicts cannot depend on
 # the driving mode). Then the same run is killed mid-stream by the
 # crash schedule (the process SIGABRTs after N journal appends),
-# recovered from whatever hit the disk, and the reconstructed verdict
-# log must be byte-identical to the control's.
+# recovered from whatever hit the disk, and both the reconstructed
+# verdict log and the recovered journal directory must be
+# byte-identical to the control's.
 "${CLI[@]}" serve --db-dir "$CHAOS_DIR/db" \
     --trace "$CHAOS_DIR/t.swf" --servers 6 --vms 200 \
     --journal-dir "$CHAOS_DIR/ctrl" --checkpoint-every 16 \
@@ -164,6 +165,10 @@ test -s "$CHAOS_DIR/crash/wal.log" \
 cmp "$CHAOS_DIR/ctrl.log" "$CHAOS_DIR/rec.log" \
     || { echo "crash-loop smoke: recovered verdict log diverged"; \
          diff "$CHAOS_DIR/ctrl.log" "$CHAOS_DIR/rec.log" | head -20; exit 1; }
+# Not only the verdicts: the recovered journal directory (WAL plus
+# every checkpoint snapshot) must be byte-identical to the control's.
+diff -r "$CHAOS_DIR/ctrl" "$CHAOS_DIR/crash" \
+    || { echo "crash-loop smoke: recovered journal diverged"; exit 1; }
 
 echo "==> consolidation crash drill (mid-sweep recovery parity)"
 # Same drill with online consolidation sweeps running between
@@ -191,6 +196,8 @@ test -s "$CHAOS_DIR/cons-crash/wal.log" \
 cmp "$CHAOS_DIR/cons-ctrl.log" "$CHAOS_DIR/cons-rec.log" \
     || { echo "consolidation drill: recovered verdict log diverged"; \
          diff "$CHAOS_DIR/cons-ctrl.log" "$CHAOS_DIR/cons-rec.log" | head -20; exit 1; }
+diff -r "$CHAOS_DIR/cons-ctrl" "$CHAOS_DIR/cons-crash" \
+    || { echo "consolidation drill: recovered journal diverged"; exit 1; }
 
 echo "==> corruption matrix drill (scrub + degraded-mode recovery parity)"
 # Four storage-fault cells, each driven back to the uncrashed control's
@@ -332,6 +339,8 @@ test -s "$OVL_DIR/crash/wal.log" \
 cmp "$OVL_DIR/ctrl.log" "$OVL_DIR/rec.log" \
     || { echo "overload drill: recovered verdict log diverged"; \
          diff "$OVL_DIR/ctrl.log" "$OVL_DIR/rec.log" | head -20; exit 1; }
+diff -r "$OVL_DIR/ctrl" "$OVL_DIR/crash" \
+    || { echo "overload drill: recovered journal diverged"; exit 1; }
 
 echo "==> scenario library (byte-deterministic replays)"
 # Every committed scenario must check clean and produce byte-identical

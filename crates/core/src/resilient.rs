@@ -44,31 +44,24 @@ pub struct ResilientModel<M> {
     /// Monotone ordinal of fault-eligible lookups; drives the predicate.
     lookups: AtomicU64,
     fallbacks: Counter,
-    stripe: usize,
 }
 
 impl<M: AllocationModel> ResilientModel<M> {
     /// A transparent wrapper: no faults are ever injected and the
     /// fallback model is never consulted.
     pub fn transparent(primary: M) -> Self {
-        Self::with_faults(primary, LookupFaults::disabled(), Counter::noop(), 0)
+        Self::with_faults(primary, LookupFaults::disabled(), Counter::noop())
     }
 
     /// Wrap `primary` with an injected fault predicate; every fallback
-    /// taken is counted on `fallbacks` stripe `stripe`.
-    pub fn with_faults(
-        primary: M,
-        faults: LookupFaults,
-        fallbacks: Counter,
-        stripe: usize,
-    ) -> Self {
+    /// taken is counted on `fallbacks`.
+    pub fn with_faults(primary: M, faults: LookupFaults, fallbacks: Counter) -> Self {
         ResilientModel {
             primary,
             fallback: AnalyticModel::reference(),
             faults,
             lookups: AtomicU64::new(0),
             fallbacks,
-            stripe,
         }
     }
 
@@ -79,7 +72,7 @@ impl<M: AllocationModel> ResilientModel<M> {
 
     /// Number of lookups answered by the analytic fallback so far.
     pub fn model_fallbacks(&self) -> u64 {
-        self.fallbacks.on_stripe(self.stripe)
+        self.fallbacks.get()
     }
 
     /// Whether the next fault-eligible lookup is injected as failed.
@@ -91,7 +84,7 @@ impl<M: AllocationModel> ResilientModel<M> {
         }
         let k = self.lookups.fetch_add(1, Ordering::Relaxed);
         if self.faults.fails(k) {
-            self.fallbacks.add_on(self.stripe, 1);
+            self.fallbacks.inc();
             true
         } else {
             false
@@ -181,7 +174,6 @@ mod tests {
             primary(),
             LookupFaults::new(1, 1.0),
             Counter::standalone(),
-            0,
         );
         let analytic = AnalyticModel::reference();
         let mix = MixVector::new(2, 1, 0);
@@ -200,7 +192,6 @@ mod tests {
                 primary(),
                 LookupFaults::new(42, 0.5),
                 Counter::standalone(),
-                0,
             );
             let mix = MixVector::new(1, 1, 1);
             let seq: Vec<f64> = (0..32)
@@ -225,7 +216,6 @@ mod tests {
             primary(),
             LookupFaults::new(1, 1.0),
             Counter::standalone(),
-            0,
         );
         let raw = primary();
         for ty in WorkloadType::ALL {

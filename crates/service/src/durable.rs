@@ -1,7 +1,7 @@
 //! Durability wiring: the bridge between the service's live types and
 //! `eavm-durability`'s primitive WAL/snapshot records.
 //!
-//! Three responsibilities live here:
+//! Two responsibilities live here:
 //!
 //! * `Journal` — the admission loop's handle on the write-ahead log:
 //!   journal-before-ack appends, checkpoint cadence, snapshot writes,
@@ -11,30 +11,27 @@
 //!   the primitive records, including [`verdict_line`], the *single*
 //!   rendering both live services and WAL replays use (which is what
 //!   makes "verdict-log byte equality" a meaningful acceptance test).
-//! * `rebuild` — deterministic re-execution of the WAL tail on top of
-//!   the newest usable snapshot: journaled decisions are re-applied
-//!   through the real `Fleet` (no search ever re-runs), so finish
-//!   times, retirement instants, and every later verdict come out
-//!   bit-identical to the run that never crashed.
+//!
+//! Recovery itself needs no code of its own here: the admission loop
+//! applies each recovered WAL frame through the same `Admission::apply`
+//! transition it ran when it journaled the frame (`service.rs`).
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
-use eavm_core::{Placement, RequestView};
+use eavm_core::Placement;
 use eavm_durability::{
     prune_snapshots_with, sweep_tmp_files_with, wal_path, write_snapshot_with, PlacementRec,
     RecoveredState, ReqRec, ServerSnapRec, ShardSnapRec, SnapshotRec, Wal, WalRecord,
 };
 use eavm_faults::CrashSchedule;
-use eavm_migrate::{ConsolidationConfig, Hysteresis, Move, MovePlan};
-use eavm_overload::{OverloadPlane, Priority};
+use eavm_overload::Priority;
 use eavm_storage::{FaultyStorage, OsStorage, Storage, StorageFaultConfig, StorageStats};
 use eavm_swf::VmRequest;
 use eavm_telemetry::{Counter, Telemetry};
 use eavm_types::{EavmError, JobId, Joules, MixVector, Seconds, ServerId, WorkloadType};
 
-use crate::fleet::{Fleet, FleetDump};
-use crate::service::{ShedReason, Verdict};
+use crate::fleet::FleetDump;
+use crate::service::Verdict;
 
 /// Durability knobs hung off `ServiceConfig`.
 #[derive(Debug, Clone)]
@@ -52,10 +49,6 @@ pub struct DurabilityConfig {
     /// gives up and enters read-only degraded mode. Total attempts per record
     /// are `1 + append_retries`.
     pub append_retries: u32,
-    /// Consecutive checkpoint failures tolerated — each widening the
-    /// cadence with a doubling backoff — before snapshots are disabled
-    /// for the rest of the process (WAL-only mode).
-    pub checkpoint_retry_budget: u32,
     /// Run the offline scrubber over the journal directory before
     /// recovery: repairs torn WAL tails and quarantines corrupt
     /// snapshot files instead of merely skipping them.
@@ -73,7 +66,6 @@ impl DurabilityConfig {
             checkpoint_every: 256,
             crash: None,
             append_retries: 2,
-            checkpoint_retry_budget: 3,
             scrub_on_recover: false,
             storage_faults: None,
         }
@@ -94,12 +86,6 @@ impl DurabilityConfig {
     /// Change the per-record append retry allowance.
     pub fn with_append_retries(mut self, retries: u32) -> Self {
         self.append_retries = retries;
-        self
-    }
-
-    /// Change the consecutive-checkpoint-failure budget.
-    pub fn with_checkpoint_retry_budget(mut self, budget: u32) -> Self {
-        self.checkpoint_retry_budget = budget;
         self
     }
 
@@ -240,6 +226,11 @@ impl DurInstruments {
 /// Checkpoint files kept per journal directory (newest N).
 const SNAPSHOTS_KEPT: usize = 2;
 
+/// Consecutive checkpoint failures tolerated — each widening the
+/// cadence with a doubling backoff — before snapshots are disabled for
+/// the rest of the process (WAL-only mode).
+const CHECKPOINT_RETRY_BUDGET: u32 = 3;
+
 /// The admission loop's write side of the journal.
 pub(crate) struct Journal {
     storage: Box<dyn Storage>,
@@ -252,11 +243,10 @@ pub(crate) struct Journal {
     checkpoint_wait: u64,
     since_checkpoint: u64,
     checkpoint_failure_streak: u32,
-    /// Cleared after `checkpoint_retry_budget` consecutive failures:
+    /// Cleared after [`CHECKPOINT_RETRY_BUDGET`] consecutive failures:
     /// WAL-only for the rest of the process.
     snapshots_enabled: bool,
     append_retries: u32,
-    checkpoint_retry_budget: u32,
     next_seq: u64,
     /// Frames appended by *this process* — the crash schedule counts
     /// these, not the historical frames a recovered WAL already held.
@@ -293,21 +283,24 @@ impl Journal {
                 wal.frames()
             )));
         }
-        let next_seq = state
-            .and_then(|s| s.snapshot.as_ref())
-            .map(|s| s.seq + 1)
-            .unwrap_or(1);
+        let snapshot = state.and_then(|s| s.snapshot.as_ref());
+        let next_seq = snapshot.map_or(1, |s| s.seq + 1);
+        // The frames past the loaded snapshot (every frame without one)
+        // already count toward the next checkpoint, so a recovered
+        // process checkpoints at the frame the uncrashed one would have.
+        let since_checkpoint = wal
+            .frames()
+            .saturating_sub(snapshot.map_or(0, |s| s.wal_frames));
         let mut journal = Journal {
             storage,
             wal,
             dir: cfg.dir.clone(),
             checkpoint_every: cfg.checkpoint_every.max(1),
             checkpoint_wait: cfg.checkpoint_every.max(1),
-            since_checkpoint: 0,
+            since_checkpoint,
             checkpoint_failure_streak: 0,
             snapshots_enabled: true,
             append_retries: cfg.append_retries,
-            checkpoint_retry_budget: cfg.checkpoint_retry_budget,
             next_seq,
             appended: 0,
             crash: cfg.crash,
@@ -437,7 +430,7 @@ impl Journal {
                 self.checkpoint_wait =
                     self.checkpoint_every << self.checkpoint_failure_streak.min(4);
                 self.since_checkpoint = 0;
-                if self.checkpoint_failure_streak > self.checkpoint_retry_budget {
+                if self.checkpoint_failure_streak > CHECKPOINT_RETRY_BUDGET {
                     self.snapshots_enabled = false;
                 }
                 self.publish_storage();
@@ -476,20 +469,6 @@ pub(crate) fn rec_to_req(rec: &ReqRec) -> VmRequest {
     }
 }
 
-/// Parked entries snapshot the full request — including the *true*
-/// submit instant and priority class — so a recovered admission loop
-/// re-derives queue-age and brownout decisions bit-identically.
-pub(crate) fn parked_to_rec(view: &RequestView, submit: Seconds, priority: Priority) -> ReqRec {
-    ReqRec {
-        id: view.id.index() as u32,
-        submit: submit.0,
-        workload: view.workload.index() as u8,
-        vm_count: view.vm_count,
-        deadline: view.deadline.0,
-        priority: priority.index() as u8,
-    }
-}
-
 pub(crate) fn placements_to_recs(placements: &[Placement]) -> Vec<PlacementRec> {
     placements
         .iter()
@@ -502,13 +481,11 @@ pub(crate) fn placements_to_recs(placements: &[Placement]) -> Vec<PlacementRec> 
         .collect()
 }
 
-pub(crate) fn recs_to_placements(recs: &[PlacementRec]) -> Vec<Placement> {
-    recs.iter()
-        .map(|r| Placement {
-            server: ServerId::from(r.server as usize),
-            add: MixVector::new(r.cpu, r.mem, r.io),
-        })
-        .collect()
+pub(crate) fn rec_to_placement(rec: &PlacementRec) -> Placement {
+    Placement {
+        server: ServerId::from(rec.server as usize),
+        add: MixVector::new(rec.cpu, rec.mem, rec.io),
+    }
 }
 
 /// Map a verdict to its WAL record.
@@ -600,7 +577,7 @@ pub(crate) fn snap_to_dump(shards: &[ShardSnapRec]) -> FleetDump {
 }
 
 // ---------------------------------------------------------------------
-// Recovery rebuild.
+// Recovery report.
 
 /// What [`AllocService::recover`] reports about a completed recovery.
 ///
@@ -618,9 +595,9 @@ pub struct RecoveryReport {
     pub resumed_inflight: usize,
     /// Parked wait-queue entries restored.
     pub restored_parked: usize,
-    /// VMs resident after the rebuild.
+    /// VMs resident after recovery.
     pub resident_vms: usize,
-    /// Virtual clock after the rebuild.
+    /// Virtual clock after recovery.
     pub virtual_now: Seconds,
     /// Next admission ticket (strictly above every journaled one).
     pub next_ticket: u64,
@@ -647,316 +624,75 @@ impl RecoveryReport {
     }
 }
 
-/// Admission-loop state reconstructed by [`rebuild`].
-pub(crate) struct Rebuilt {
-    pub now: Seconds,
-    pub next_ticket: u64,
-    /// Parked wait queue in FIFO order: `(ticket, request, parked_at)`.
-    pub parked: Vec<(u64, VmRequest, Seconds)>,
-    /// Submitted-but-undecided requests in submission order; the
-    /// admission loop re-drives them before any new traffic.
-    pub resume: Vec<(u64, VmRequest)>,
-    /// Counter values (snapshot baseline plus tail replay).
-    pub counters: Vec<(String, u64)>,
-    /// Consolidation hysteresis, restored from the snapshot's reserved
-    /// `consolidation_cooldown_<host>` counter entries and advanced by
-    /// every replayed `Migrate` frame — so the first post-recovery
-    /// sweep plans exactly what the crashed process would have.
-    pub hysteresis: Hysteresis,
-    /// The journal ends on a *decision* frame: the crashed process had
-    /// finished a request but its boundary `Migrate` frame (if a sweep
-    /// was due) may have been lost to the crash. The admission loop
-    /// must re-check consolidation before serving any new traffic —
-    /// the live run swept before its next admission, so the recovered
-    /// one must too. When the journal instead ends mid-request (a
-    /// trailing `Submit` leaves in-flight work to re-drive, a trailing
-    /// `Clock` sits inside a drain/advance), the normal boundary after
-    /// the resumed request re-checks at the same virtual instant the
-    /// crashed process would have.
-    pub pending_sweep: bool,
-    /// The crashed request retired resident VMs — via a mid-request
-    /// `Clock` or the unjournaled advance to an admitted request's
-    /// submit instant — but its parked-retry pass is not in the
-    /// journal. The live loop follows such a retirement with
-    /// `advance(now)` plus a parked retry once the decision lands (the
-    /// tail of `admit`), but the recovered loop cannot observe it: the
-    /// rebuild already applied the retirement, so both the re-driven
-    /// request and the startup retry would see zero freed capacity and
-    /// land differently than the crashed process. The loop re-runs
-    /// `advance(now)` plus the retry pass explicitly when this flag is
-    /// set. Cleared when a journaled post-decision `Clock` or the next
-    /// request's `Submit` shows the debt was already consumed.
-    pub tail_retired: bool,
-    pub frames_replayed: u64,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eavm_durability::recover_dir;
 
-// Ordered map so recovery bookkeeping (and the counter Vec handed to
-// `Instruments::seed`) never depends on hash-iteration order.
-fn bump(counters: &mut BTreeMap<String, u64>, name: &str, n: u64) {
-    *counters.entry(name.to_string()).or_insert(0) += n;
-}
-
-/// Deterministically re-execute a recovered journal into a fresh
-/// fleet. Snapshot state loads directly (bit-exact
-/// finish times); the WAL tail replays journaled *decisions* through
-/// the same fleet methods the live run used — `advance_to` at each
-/// journaled instant, then `commit` for each admission — so no search
-/// re-runs and the resulting fleet matches the crashed process exactly.
-pub(crate) fn rebuild(
-    state: &RecoveredState,
-    fleet: &mut Fleet,
-    consolidation: Option<&ConsolidationConfig>,
-    mut plane: Option<&mut OverloadPlane>,
-) -> Rebuilt {
-    let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-    let mut now = Seconds(0.0);
-    let mut next_ticket = 0u64;
-    let mut parked: Vec<(u64, VmRequest, Seconds)> = Vec::new();
-    let mut saved_cooldowns: Vec<(usize, u32)> = Vec::new();
-
-    if let Some(snap) = &state.snapshot {
-        now = Seconds(snap.now);
-        next_ticket = snap.next_ticket;
-        for (name, value) in &snap.counters {
-            // Reserved names carry hysteresis cooldowns, not counters;
-            // strip them here so `Instruments::seed` never sees them and
-            // a later checkpoint re-emits them fresh.
-            if let Some(host) = name
-                .strip_prefix("consolidation_cooldown_")
-                .and_then(|s| s.parse::<usize>().ok())
-            {
-                saved_cooldowns.push((host, u32::try_from(*value).unwrap_or(u32::MAX)));
-                continue;
-            }
-            // Overload-plane scalars ride along the same way: reserved
-            // names restore limiter/breaker state, never reach the real
-            // counters, and a later checkpoint re-emits them fresh.
-            if name.starts_with(OverloadPlane::COUNTER_PREFIX) {
-                if let Some(plane) = plane.as_deref_mut() {
-                    plane.load(name, *value);
-                }
-                continue;
-            }
-            bump(&mut counters, name, *value);
-        }
-        if !snap.shards.is_empty() {
-            fleet.load_dump(&snap_to_dump(&snap.shards));
-        }
-        parked.extend(
-            snap.parked
-                .iter()
-                .map(|(t, rec, at)| (*t, rec_to_req(rec), Seconds(*at))),
-        );
+    fn tmp(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("eavm-dur-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
     }
 
-    let mut hysteresis = Hysteresis::restore(fleet.mixes().count(), &saved_cooldowns);
-    // Submitted-but-undecided requests, in submission order.
-    let mut pending: Vec<(u64, VmRequest)> = Vec::new();
-    let mut pending_sweep = false;
-    let mut tail_retired = false;
-    for record in state.tail() {
-        pending_sweep = matches!(
-            record,
-            WalRecord::Admitted { .. }
-                | WalRecord::AdmittedCrossShard { .. }
-                | WalRecord::Queued { .. }
-                | WalRecord::Shed { .. }
-        );
-        match record {
-            WalRecord::Submit { ticket, req } => {
-                // A submit on an empty pending set opens a new request;
-                // retirement owed by the previous one was either
-                // consumed by its journaled retry pass or skipped
-                // (nothing parked), so the debt never carries.
-                if pending.is_empty() {
-                    tail_retired = false;
-                }
-                let request = rec_to_req(req);
-                now = now.max(request.submit);
-                next_ticket = next_ticket.max(ticket + 1);
-                bump(&mut counters, "submitted", 1);
-                bump(
-                    &mut counters,
-                    &format!("submitted_class_{}", request.priority.name()),
-                    1,
-                );
-                if let Some(plane) = plane.as_deref_mut() {
-                    plane.on_submit(request.submit.0);
-                }
-                pending.push((*ticket, request));
-            }
-            WalRecord::Clock { t } => {
-                let t = Seconds(*t);
-                now = now.max(t);
-                if let Some(plane) = plane.as_deref_mut() {
-                    plane.on_clock(t.0);
-                }
-                let retired = fleet.advance_to(t);
-                if pending.is_empty() {
-                    // The request's post-decision sync (or a
-                    // drain/AdvanceTo) made it to the journal, so the
-                    // retry pass the loop runs at startup needs no
-                    // re-advance.
-                    tail_retired = false;
-                } else if retired > 0 {
-                    // Mid-request advance: the re-driven request cannot
-                    // observe this retirement (it is already applied),
-                    // so the loop must re-run the retry pass the
-                    // crashed process was about to.
-                    tail_retired = true;
-                }
-            }
-            WalRecord::Admitted {
-                ticket, placements, ..
-            } => {
-                let request = pending
-                    .iter()
-                    .position(|(t, _)| t == ticket)
-                    .map(|i| pending.remove(i).1);
-                let submit = request.as_ref().map(|r| r.submit).unwrap_or(now);
-                // The live loop advances the fleet to the request's
-                // submit instant before searching; any capacity that
-                // advance freed triggers the retry pass after the
-                // decision.
-                if fleet.advance_to(submit) > 0 {
-                    tail_retired = true;
-                }
-                fleet.commit(&recs_to_placements(placements));
-                bump(&mut counters, "admitted_local", 1);
-                if let Some(request) = request {
-                    bump(
-                        &mut counters,
-                        &format!("admitted_class_{}", request.priority.name()),
-                        1,
-                    );
-                    if let Some(plane) = plane.as_deref_mut() {
-                        plane.on_admitted(request.submit.0, request.deadline.0);
-                    }
-                }
-            }
-            WalRecord::AdmittedCrossShard {
-                ticket, placements, ..
-            } => {
-                let request = if let Some(i) = parked.iter().position(|(t, _, _)| t == ticket) {
-                    let (_, request, _) = parked.remove(i);
-                    bump(&mut counters, "admitted_after_wait", 1);
-                    Some(request)
-                } else {
-                    pending
-                        .iter()
-                        .position(|(t, _)| t == ticket)
-                        .map(|i| pending.remove(i).1)
-                };
-                fleet.commit(&recs_to_placements(placements));
-                bump(&mut counters, "admitted_cross_shard", 1);
-                if let Some(request) = request {
-                    bump(
-                        &mut counters,
-                        &format!("admitted_class_{}", request.priority.name()),
-                        1,
-                    );
-                    if let Some(plane) = plane.as_deref_mut() {
-                        plane.on_admitted(request.submit.0, request.deadline.0);
-                    }
-                }
-            }
-            WalRecord::Queued { ticket, .. } => {
-                if let Some(i) = pending.iter().position(|(t, _)| t == ticket) {
-                    let (ticket, request) = pending.remove(i);
-                    // The live run parks at its current virtual clock,
-                    // which by this frame has absorbed the same
-                    // submit/clock maxima replay tracks in `now` — the
-                    // queue-age baseline re-derives bit-identically.
-                    parked.push((ticket, request, now));
-                }
-            }
-            // An interim verdict this version never writes: nothing to
-            // replay.
-            WalRecord::Requeued { .. } => {}
-            WalRecord::Migrate {
-                epoch,
-                t,
-                stall,
-                moves,
-            } => {
-                // The frame is the replay authority: re-execute exactly
-                // the journaled moves (never re-plan). Draining "the
-                // first resident of the journaled type" picks the same
-                // VM the live run drained because resident vectors
-                // rebuild bit-exact, and the journaled stall — not a
-                // recomputed one — delays its finish instant.
-                let t = Seconds(*t);
-                now = now.max(t);
-                hysteresis.begin_sweep();
-                let stall = Seconds(*stall);
-                let mut replayed: Vec<Move> = Vec::new();
-                let mut executed = 0u64;
-                let mut drained: BTreeSet<usize> = BTreeSet::new();
-                for m in moves {
-                    let Some(&ty) = WorkloadType::ALL.get(usize::from(m.ty)) else {
-                        continue;
-                    };
-                    let from = ServerId::from(m.from as usize);
-                    let to = ServerId::from(m.to as usize);
-                    replayed.push(Move {
-                        from: from.index(),
-                        to: to.index(),
-                        ty,
-                    });
-                    let Some(finish) = fleet.drain_vm(from, ty) else {
-                        continue;
-                    };
-                    if fleet.inject_vm(to, ty, finish + stall) {
-                        executed += 1;
-                        drained.insert(from.index());
-                    } else {
-                        fleet.inject_vm(from, ty, finish);
-                    }
-                }
-                hysteresis.commit(
-                    &MovePlan {
-                        moves: replayed,
-                        emptied: Vec::new(),
-                    },
-                    consolidation.map_or(1, |c| c.hysteresis_sweeps),
-                );
-                let prev = counters.get("consolidation_epoch").copied().unwrap_or(0);
-                if *epoch > prev {
-                    bump(&mut counters, "consolidation_epoch", epoch - prev);
-                }
-                bump(&mut counters, "consolidation_sweeps", 1);
-                bump(&mut counters, "consolidation_migrations", executed);
-                bump(
-                    &mut counters,
-                    "consolidation_hosts_drained",
-                    drained.len() as u64,
-                );
-            }
-            WalRecord::Shed { ticket, reason } => {
-                pending.retain(|(t, _)| t != ticket);
-                parked.retain(|(t, _, _)| t != ticket);
-                let Some(reason) = ShedReason::from_index(*reason) else {
-                    continue;
-                };
-                if let Some(plane) = plane.as_deref_mut() {
-                    plane.on_shed(reason.cuts_limits());
-                }
-                if let Some(name) = reason.counter_name() {
-                    bump(&mut counters, name, 1);
-                }
-            }
+    fn empty_snapshot() -> SnapshotRec {
+        SnapshotRec {
+            seq: 0,
+            wal_frames: 0,
+            now: 0.0,
+            next_ticket: 0,
+            cache_generation: 0,
+            shards: Vec::new(),
+            parked: Vec::new(),
+            counters: Vec::new(),
         }
     }
 
-    Rebuilt {
-        now,
-        next_ticket,
-        parked,
-        resume: pending,
-        counters: counters.into_iter().collect(),
-        hysteresis,
-        pending_sweep,
-        tail_retired,
-        frames_replayed: state.tail().len() as u64,
+    /// Appends until a checkpoint is due; returns the WAL frames then.
+    fn frames_at_next_checkpoint(journal: &mut Journal) -> u64 {
+        while !journal.checkpoint_due() {
+            journal
+                .append(&WalRecord::Clock { t: 0.0 })
+                .expect("append");
+        }
+        journal.wal.frames()
+    }
+
+    #[test]
+    fn recovered_journal_keeps_the_checkpoint_cadence() {
+        let every = 5;
+        let dir = tmp("cadence");
+        let cfg = DurabilityConfig::new(&dir).with_checkpoint_every(every);
+        let instruments = DurInstruments::new(&Telemetry::disabled());
+
+        // Without a snapshot every frame on disk counts.
+        let mut journal = Journal::open(&cfg, None, &instruments).expect("open");
+        for _ in 0..3 {
+            journal
+                .append(&WalRecord::Clock { t: 0.0 })
+                .expect("append");
+        }
+        drop(journal);
+        let state = recover_dir(&dir).expect("recover");
+        assert!(state.snapshot.is_none());
+        let mut journal = Journal::open(&cfg, Some(&state), &instruments).expect("reopen");
+        assert_eq!(frames_at_next_checkpoint(&mut journal), every);
+
+        // With one, the frames past it count: the tail holds 3.
+        journal
+            .write_checkpoint(empty_snapshot())
+            .expect("checkpoint");
+        for _ in 0..3 {
+            journal
+                .append(&WalRecord::Clock { t: 0.0 })
+                .expect("append");
+        }
+        drop(journal);
+        let state = recover_dir(&dir).expect("recover");
+        let wal_frames = state.snapshot.as_ref().expect("snapshot").wal_frames;
+        assert_eq!((wal_frames, state.frames), (every, every + 3));
+        let mut journal = Journal::open(&cfg, Some(&state), &instruments).expect("reopen");
+        assert_eq!(frames_at_next_checkpoint(&mut journal), wal_frames + every);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -75,6 +75,11 @@ pub(crate) struct Fleet {
     strategy: ServiceStrategy,
     clock: Seconds,
     estimated_energy: Joules,
+    /// No resident VM finishes before this instant: a lower bound,
+    /// lowered by every VM that joins and raised to the true minimum by
+    /// every retiring scan. An advance short of it retires nothing, so
+    /// it skips the scan.
+    earliest_finish: Seconds,
 }
 
 impl Fleet {
@@ -91,6 +96,7 @@ impl Fleet {
             strategy,
             clock: Seconds(0.0),
             estimated_energy: Joules(0.0),
+            earliest_finish: Seconds(f64::INFINITY),
         }
     }
 
@@ -166,8 +172,10 @@ impl Fleet {
         // Estimate every finish before touching the server again, so no
         // fallible lookup happens inside the mutation.
         let mut fresh: Vec<ResidentVm> = Vec::new();
+        let mut earliest = Seconds(f64::INFINITY);
         for (ty, count) in placement.add.iter().filter(|(_, count)| *count > 0) {
             let finish = clock + self.strategy.model().exec_time(mix, ty)?;
+            earliest = earliest.min(finish);
             for _ in 0..count {
                 fresh.push(ResidentVm { ty, finish });
             }
@@ -175,6 +183,7 @@ impl Fleet {
         if let Some(srv) = self.server_mut(placement.server) {
             srv.resident.extend(fresh);
         }
+        self.earliest_finish = self.earliest_finish.min(earliest);
         Ok(())
     }
 
@@ -183,9 +192,16 @@ impl Fleet {
     /// against the pre-add mix. Live admissions and WAL replay both
     /// come through here, which is what makes replay bit-exact.
     /// Partition proposals place each server at most once, so the fold
-    /// order cannot change a finish estimate.
-    pub(crate) fn commit(&mut self, placements: &[Placement]) {
-        for p in placements {
+    /// order cannot change a finish estimate. The placements are walked
+    /// twice, so a caller can hand over a lazy conversion of its own
+    /// list without collecting it.
+    pub(crate) fn commit<I>(&mut self, placements: I)
+    where
+        I: IntoIterator<Item = Placement>,
+        I::IntoIter: Clone,
+    {
+        let placements = placements.into_iter();
+        for p in placements.clone() {
             if let Some(srv) = self.server_mut(p.server) {
                 srv.mix += p.add;
             }
@@ -195,7 +211,7 @@ impl Fleet {
             if let Some(old) = new_mix.checked_sub(&p.add) {
                 self.estimated_energy += self.energy_delta(old, p.add);
             }
-            let _ = self.materialize(p);
+            let _ = self.materialize(&p);
         }
     }
 
@@ -203,13 +219,19 @@ impl Fleet {
     /// finish is at or before `t`. Returns the number retired.
     pub(crate) fn advance_to(&mut self, t: Seconds) -> usize {
         self.clock = self.clock.max(t);
+        if t.0 < self.earliest_finish.0 {
+            return 0;
+        }
         let mut retired = 0;
+        let mut earliest = Seconds(f64::INFINITY);
         for srv in &mut self.servers {
             let mut freed = MixVector::EMPTY;
             srv.resident.retain(|vm| {
                 let done = vm.finish.0 <= t.0;
                 if done {
                     freed += MixVector::single(vm.ty, 1);
+                } else {
+                    earliest = earliest.min(vm.finish);
                 }
                 !done
             });
@@ -226,15 +248,38 @@ impl Fleet {
                 retired += freed.total() as usize;
             }
         }
+        self.earliest_finish = earliest;
         retired
+    }
+
+    /// Live-migrate one VM of `ty` from `from` to `to`: drain it off
+    /// the donor and land it on the receiver with its finish instant
+    /// pushed out by the pre-copy `stall`. A failed drain skips the
+    /// move; a failed landing puts the VM back on its donor. Returns
+    /// whether the VM moved.
+    pub(crate) fn migrate(
+        &mut self,
+        from: ServerId,
+        to: ServerId,
+        ty: WorkloadType,
+        stall: Seconds,
+    ) -> bool {
+        let Some(finish) = self.drain_vm(from, ty) else {
+            return false;
+        };
+        if self.inject_vm(to, ty, finish + stall) {
+            return true;
+        }
+        self.inject_vm(from, ty, finish);
+        false
     }
 
     /// Consolidation drain: remove the first resident VM of `ty` from
     /// `server` and return its estimated finish instant. `None` when
     /// the server is unknown or hosts no VM of that type. "First in
-    /// resident order" is what makes live drains and WAL replays pick
-    /// the *same* VM.
-    pub(crate) fn drain_vm(&mut self, server: ServerId, ty: WorkloadType) -> Option<Seconds> {
+    /// resident order" is what makes every drain of a journaled move
+    /// pick the *same* VM.
+    fn drain_vm(&mut self, server: ServerId, ty: WorkloadType) -> Option<Seconds> {
         let srv = self.server_mut(server)?;
         let pos = srv.resident.iter().position(|vm| vm.ty == ty)?;
         let shrunk = srv.mix.checked_sub(&MixVector::single(ty, 1))?;
@@ -246,16 +291,12 @@ impl Fleet {
     /// Consolidation landing: host a drained VM on `server` with its
     /// migration-delayed finish instant, appended to the resident
     /// vector. Returns `false` for an unknown server.
-    pub(crate) fn inject_vm(
-        &mut self,
-        server: ServerId,
-        ty: WorkloadType,
-        finish: Seconds,
-    ) -> bool {
+    fn inject_vm(&mut self, server: ServerId, ty: WorkloadType, finish: Seconds) -> bool {
         match self.server_mut(server) {
             Some(srv) => {
                 srv.mix += MixVector::single(ty, 1);
                 srv.resident.push(ResidentVm { ty, finish });
+                self.earliest_finish = self.earliest_finish.min(finish);
                 true
             }
             None => false,
@@ -315,6 +356,7 @@ impl Fleet {
             .collect();
         self.clock = dump.clock;
         self.estimated_energy = dump.energy;
+        self.earliest_finish = self.next_finish().unwrap_or(Seconds(f64::INFINITY));
     }
 
     /// VMs currently resident fleet-wide.
@@ -352,7 +394,7 @@ pub(crate) fn build_strategy(
     fallbacks: Counter,
 ) -> ServiceStrategy {
     Proactive::new(
-        ResilientModel::with_faults(model, lookup_faults, fallbacks, 0),
+        ResilientModel::with_faults(model, lookup_faults, fallbacks),
         goal,
         deadlines,
     )
@@ -396,7 +438,7 @@ mod tests {
     /// Search, then commit what the search found.
     fn place(fleet: &mut Fleet, request: &RequestView) -> Option<Vec<Placement>> {
         let placements = fleet.search(request)?;
-        fleet.commit(&placements);
+        fleet.commit(placements.iter().copied());
         Some(placements)
     }
 
@@ -453,7 +495,7 @@ mod tests {
         // Replaying the first request's journaled placements onto a
         // fresh fleet reproduces the live fleet's state after it.
         let mut replayed = fleet(2);
-        replayed.commit(&first);
+        replayed.commit(first.iter().copied());
         let mut reference = fleet(2);
         place(&mut reference, &request(1, WorkloadType::Cpu, 3)).expect("feasible");
         assert_eq!(replayed.dump(), reference.dump());

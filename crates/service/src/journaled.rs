@@ -5,9 +5,11 @@
 //! acked or moved first could be lost to a crash that recovery never
 //! sees. [`Journaled`] is the proof. Only [`append`] wraps a value, and
 //! only once the journal took its record (a service without a journal
-//! journals nothing, so there everything counts as journaled). The ack
-//! sender [`AckTx`] and the admission loop's `execute_move` accept
-//! nothing else, so skipping the append is a compile error.
+//! journals nothing, so there everything counts as journaled), and
+//! [`recovered`] wraps the frames read back from a WAL. The ack sender
+//! [`AckTx`] and the admission loop's one state transition,
+//! `Admission::apply`, accept nothing else, so acking or applying a
+//! decision without its record is a compile error.
 //!
 //! The one verdict acked without a record is the storage-degraded shed:
 //! it is sent precisely because nothing can be journaled any more. It
@@ -20,7 +22,7 @@
 use std::ops::Deref;
 use std::sync::mpsc::Sender;
 
-use eavm_durability::WalRecord;
+use eavm_durability::{RecoveredState, WalRecord};
 use eavm_types::EavmError;
 
 use crate::durable::Journal;
@@ -28,7 +30,7 @@ use crate::service::{ShedReason, Verdict};
 
 /// A value whose WAL record has been appended. The field is private to
 /// this module, so no other code can forge one.
-#[must_use = "a journaled value exists to be acked or executed"]
+#[must_use = "a journaled value exists to be acked or applied"]
 pub(crate) struct Journaled<T>(T);
 
 impl<T> Deref for Journaled<T> {
@@ -39,10 +41,10 @@ impl<T> Deref for Journaled<T> {
     }
 }
 
-impl<'a, T> Journaled<&'a [T]> {
-    /// Every element of a journaled list was journaled with it.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = Journaled<&'a T>> + 'a {
-        self.0.iter().map(Journaled)
+impl<A, B> Journaled<(A, B)> {
+    /// Both halves of a journaled pair were journaled together.
+    pub(crate) fn split(self) -> (Journaled<A>, Journaled<B>) {
+        (Journaled(self.0 .0), Journaled(self.0 .1))
     }
 }
 
@@ -70,6 +72,12 @@ pub(crate) fn append<T>(
         journal.append_resilient(record)?;
     }
     Ok(Journaled(value))
+}
+
+/// The WAL tail a recovery replays: every frame in it was read back
+/// from the journal, so it is journaled by construction.
+pub(crate) fn recovered(state: &RecoveredState) -> impl Iterator<Item = Journaled<&WalRecord>> {
+    state.tail().iter().map(Journaled)
 }
 
 /// The sending half of the verdict stream; it acks journaled verdicts

@@ -26,7 +26,7 @@
 //! sequence: blocking, non-blocking, paced and journaled driving all
 //! produce the same verdict log, and a recovered journal replays to it.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -36,19 +36,19 @@ use std::time::Instant;
 use eavm_benchdb::ModelDatabase;
 use eavm_core::{DbModel, OptimizationGoal, Placement, RequestView, SearchMetrics};
 use eavm_faults::LookupFaults;
-use eavm_overload::{OverloadConfig, OverloadPlane, OverloadSnapshot, Priority};
+use eavm_overload::{OverloadConfig, OverloadPlane, OverloadSnapshot};
 use eavm_swf::VmRequest;
 use eavm_telemetry::{Counter, Gauge, Histogram, HistogramSnapshot, Severity, Telemetry};
-use eavm_types::{EavmError, Joules, MixVector, Seconds, ServerId};
+use eavm_types::{EavmError, Joules, MixVector, Seconds, ServerId, WorkloadType};
 
 use eavm_durability::{
     recover_dir_with, scrub_dir_with, MoveRec, RecoveredState, ScrubReport, SnapshotRec, WalRecord,
 };
-use eavm_migrate::{plan_moves, ConsolidationConfig, HostLoad, Hysteresis};
+use eavm_migrate::{plan_moves, ConsolidationConfig, HostLoad, Hysteresis, Move, MovePlan};
 
 use crate::durable::{
-    dump_to_snap, make_storage, parked_to_rec, rebuild, req_to_rec, verdict_to_record,
-    DurInstruments, DurabilityConfig, DurabilityStats, Journal, RecoveryReport,
+    dump_to_snap, make_storage, rec_to_placement, rec_to_req, req_to_rec, snap_to_dump,
+    verdict_to_record, DurInstruments, DurabilityConfig, DurabilityStats, Journal, RecoveryReport,
 };
 use crate::fleet::{build_strategy, Fleet};
 use crate::journaled::{self, AckTx, Journaled};
@@ -260,27 +260,12 @@ impl ShedReason {
         ShedReason::ALL.iter().copied().find(|r| r.index() == index)
     }
 
-    /// The stable snapshot-counter name recovery bumps when replaying a
-    /// journaled shed with this reason. `None` for `AdmissionFull`,
-    /// which is decided handle-side before anything is journaled.
-    pub fn counter_name(self) -> Option<&'static str> {
-        match self {
-            ShedReason::AdmissionFull => None,
-            ShedReason::WaitQueueFull => Some("shed_wait_queue"),
-            ShedReason::Unplaceable => Some("shed_unplaceable"),
-            ShedReason::ShardFailure => Some("shed_shard_failure"),
-            ShedReason::StorageDegraded => Some("shed_storage_degraded"),
-            ShedReason::QueueAged => Some("shed_queue_aged"),
-            ShedReason::BrownoutClass => Some("shed_brownout_class"),
-        }
-    }
-
     /// Whether the overload plane's AIMD limiter cuts on this shed.
     /// Only genuine overload signals cut (a full wait queue, an aged-out
     /// entry). Brownout sheds must NOT cut: cutting on the ladder's own
-    /// decisions is a positive-feedback death spiral. Used identically
-    /// by the live verdict path and WAL replay, so limiter state stays
-    /// a pure function of the journal.
+    /// decisions is a positive-feedback death spiral. Read only when a
+    /// journaled shed is applied, so limiter state stays a pure
+    /// function of the journal.
     pub fn cuts_limits(self) -> bool {
         match self {
             ShedReason::WaitQueueFull | ShedReason::QueueAged => true,
@@ -375,7 +360,7 @@ pub struct ServiceStats {
     /// Donor hosts fully drained (powered down) by sweeps.
     pub consolidation_hosts_drained: u64,
     /// Journaled submissions by priority class, indexed by
-    /// [`Priority::index`] (Batch, Standard, Interactive).
+    /// [`Priority::index`](eavm_overload::Priority::index) (Batch, Standard, Interactive).
     pub submitted_class: [u64; 3],
     /// Admissions by priority class, indexed the same way.
     pub admitted_class: [u64; 3],
@@ -498,7 +483,7 @@ impl AllocService {
         // fleet size, and an unarmed breaker mirrors the lookup-fault
         // stream when one is injected (the probe process then observes
         // exactly the failure process the allocator sees).
-        let mut plane = match &config.overload {
+        let plane = match &config.overload {
             Some(overload) => {
                 let mut resolved = overload.clone().resolve(config.servers);
                 // Exact zero means "breaker unarmed": the rate is user
@@ -516,7 +501,7 @@ impl AllocService {
             None => None,
         };
         let telemetry = Arc::clone(&config.telemetry);
-        let mut fleet = Fleet::new(
+        let fleet = Fleet::new(
             config.servers,
             build_strategy(
                 db_model(db, &telemetry),
@@ -538,117 +523,49 @@ impl AllocService {
         } else {
             Counter::standalone()
         };
-        let counters = Instruments::new(&telemetry, shed_admission.clone());
-
-        // Rebuild recovered state into the fresh fleet before the loop
-        // starts: load the snapshot, replay the WAL tail
-        // deterministically, then seed the counters with the crashed
-        // process's values.
-        let mut report = RecoveryReport::default();
-        let mut hysteresis = Hysteresis::new(config.servers);
-        let mut pending_sweep = false;
-        let mut resume_retired = false;
-        let (now, restored_parked, resume, next_ticket) = match recovered.as_ref() {
-            Some(state) => {
-                let rebuilt = rebuild(
-                    state,
-                    &mut fleet,
-                    config.consolidation.as_ref(),
-                    plane.as_mut(),
-                );
-                hysteresis = rebuilt.hysteresis;
-                pending_sweep = rebuilt.pending_sweep;
-                resume_retired = rebuilt.tail_retired;
-                counters.seed(&rebuilt.counters);
-                let dur = &counters.durability;
-                dur.frames_replayed.add(rebuilt.frames_replayed);
-                dur.snapshots_loaded.add(state.snapshots_loaded);
-                dur.torn_frames_dropped.add(state.torn_frames_dropped);
-                dur.tmp_swept.add(state.tmp_swept);
-                if let Some(report) = &scrubbed {
-                    dur.snapshots_quarantined
-                        .add(report.snapshots_quarantined());
-                    dur.torn_tails_repaired.add(report.torn_tails_repaired);
-                    dur.tmp_swept.add(report.tmp_swept);
-                }
-                report = RecoveryReport {
-                    snapshots_loaded: state.snapshots_loaded,
-                    frames_replayed: rebuilt.frames_replayed,
-                    torn_frames_dropped: state.torn_frames_dropped,
-                    resumed_inflight: rebuilt.resume.len(),
-                    restored_parked: rebuilt.parked.len(),
-                    resident_vms: fleet.resident_vms(),
-                    virtual_now: rebuilt.now,
-                    next_ticket: rebuilt.next_ticket,
-                    verdicts: state.verdict_lines(),
-                };
-                (
-                    rebuilt.now,
-                    rebuilt.parked,
-                    rebuilt.resume,
-                    rebuilt.next_ticket,
-                )
-            }
-            None => (Seconds(0.0), Vec::new(), Vec::new(), 0),
-        };
-        let journal = match &config.durability {
-            Some(dcfg) => Some(Journal::open(
-                dcfg,
-                recovered.as_ref(),
-                &counters.durability,
-            )?),
-            None => None,
-        };
-
         let (ctl_tx, ctl_rx) = sync_channel(config.queue_capacity);
         let (verdict_tx, verdict_rx) = channel();
-        counters.parked_depth.set(restored_parked.len() as i64);
-        // Seed the verdict-time metadata (submit, deadline, class) for
-        // every recovered ticket that still awaits a final verdict —
-        // re-driven in-flight requests and restored parked entries
-        // alike — so the plane's hooks and the class counters see the
-        // same arguments the crashed process would have supplied.
-        let mut meta: BTreeMap<u64, (Seconds, Seconds, Priority)> = BTreeMap::new();
-        for (ticket, request) in &resume {
-            meta.insert(
-                *ticket,
-                (request.submit, request.deadline, request.priority),
-            );
-        }
-        for (ticket, request, _) in &restored_parked {
-            meta.insert(
-                *ticket,
-                (request.submit, request.deadline, request.priority),
-            );
-        }
         let mut admission = Admission {
+            counters: Instruments::new(&telemetry, shed_admission.clone()),
+            hysteresis: Hysteresis::new(config.servers),
             config,
             fleet,
             ctl_rx,
             verdict_tx: AckTx::new(verdict_tx),
-            parked: restored_parked
-                .into_iter()
-                .map(|(ticket, request, parked_at)| Parked {
-                    ticket,
-                    view: view_of(&request),
-                    submit: request.submit,
-                    priority: request.priority,
-                    parked_at,
-                })
-                .collect(),
+            parked: VecDeque::new(),
             inflight: BTreeMap::new(),
-            meta,
+            meta: BTreeMap::new(),
             plane,
-            now,
-            counters,
-            journal,
-            resume,
-            ticket_watermark: next_ticket,
-            hysteresis,
-            pending_sweep,
-            resume_retired,
+            now: Seconds(0.0),
+            journal: None,
+            ticket_watermark: 0,
+            pending_sweep: false,
+            resume_retired: false,
             storage_degraded: false,
         };
+        let mut report = RecoveryReport::default();
+        if let Some(state) = recovered.as_ref() {
+            report = admission.recover(state);
+            let dur = &admission.counters.durability;
+            dur.frames_replayed.add(report.frames_replayed);
+            dur.snapshots_loaded.add(state.snapshots_loaded);
+            dur.torn_frames_dropped.add(state.torn_frames_dropped);
+            dur.tmp_swept.add(state.tmp_swept);
+            if let Some(report) = &scrubbed {
+                dur.snapshots_quarantined
+                    .add(report.snapshots_quarantined());
+                dur.torn_tails_repaired.add(report.torn_tails_repaired);
+                dur.tmp_swept.add(report.tmp_swept);
+            }
+        }
+        if let Some(dcfg) = &admission.config.durability {
+            admission.journal = Some(Journal::open(
+                dcfg,
+                recovered.as_ref(),
+                &admission.counters.durability,
+            )?);
+        }
+        let next_ticket = admission.ticket_watermark;
         let handle = std::thread::Builder::new()
             .name("eavm-admission".into())
             .spawn(move || admission.run())
@@ -825,7 +742,8 @@ struct Instruments {
     admitted_local: Counter,
     admitted_cross_shard: Counter,
     admitted_after_wait: Counter,
-    /// Journaled submissions by priority class ([`Priority::index`]).
+    /// Journaled submissions by priority class
+    /// ([`Priority::index`](eavm_overload::Priority::index)).
     submitted_class: [Counter; 3],
     /// Admissions by priority class.
     admitted_class: [Counter; 3],
@@ -928,16 +846,26 @@ impl Instruments {
         ]
     }
 
-    /// Restore counter values saved by a checkpoint (plus tail replay).
-    /// Names this version does not keep are ignored.
-    fn seed(&self, values: &[(String, u64)]) {
-        for (name, value) in values {
-            if *value == 0 {
-                continue;
-            }
-            if let Some((_, counter)) = self.named().iter().find(|(n, _)| n == name) {
-                counter.add(*value);
-            }
+    /// Restore one counter value saved by a checkpoint. Names this
+    /// version does not keep are ignored.
+    fn seed(&self, name: &str, value: u64) {
+        if let Some((_, counter)) = self.named().iter().find(|(n, _)| *n == name) {
+            counter.add(value);
+        }
+    }
+
+    /// The counter a journaled shed with `reason` is counted on. `None`
+    /// for `AdmissionFull`: the handle sheds and counts it before
+    /// anything is journaled.
+    fn shed(&self, reason: ShedReason) -> Option<&Counter> {
+        match reason {
+            ShedReason::AdmissionFull => None,
+            ShedReason::WaitQueueFull => Some(&self.shed_wait_queue),
+            ShedReason::Unplaceable => Some(&self.shed_unplaceable),
+            ShedReason::ShardFailure => Some(&self.shed_shard_failure),
+            ShedReason::StorageDegraded => Some(&self.shed_storage_degraded),
+            ShedReason::QueueAged => Some(&self.shed_queue_aged),
+            ShedReason::BrownoutClass => Some(&self.shed_brownout_class),
         }
     }
 
@@ -950,14 +878,13 @@ impl Instruments {
     }
 }
 
+/// One entry of the wait queue.
 struct Parked {
     ticket: u64,
-    view: RequestView,
-    /// Original submit instant — persisted by checkpoints so recovered
-    /// deadline arithmetic stays exact.
-    submit: Seconds,
-    /// Scheduling class, for the brownout ladder after recovery.
-    priority: Priority,
+    /// The full request: its submit instant and class keep deadline
+    /// arithmetic and the brownout ladder exact after recovery, and
+    /// checkpoints persist it.
+    request: VmRequest,
     /// Instant the request entered the wait queue; the overload plane's
     /// queue-age shedding measures sojourn from here.
     parked_at: Seconds,
@@ -975,24 +902,19 @@ struct Admission {
     /// this size, and keeps every loop structure free of hash-iteration
     /// order by construction.
     inflight: BTreeMap<u64, Instant>,
-    /// Submit instant, deadline, and priority class of every ticket
-    /// still awaiting its *final* verdict — the arguments the overload
-    /// plane's hooks and the class counters need at verdict time, and
-    /// what checkpoints persist for parked entries.
-    meta: BTreeMap<u64, (Seconds, Seconds, Priority)>,
+    /// Every ticket still awaiting its *final* verdict: the parked ones
+    /// plus the one being decided. Holds what the overload plane's hooks,
+    /// the class counters and a later `Queued` need at verdict time.
+    meta: BTreeMap<u64, VmRequest>,
     /// The overload-control plane; `None` without
-    /// `ServiceConfig::overload`. State mutates only in its event
-    /// hooks, each fired right after the matching WAL record becomes
-    /// durable — recovery replays the identical hooks from the journal.
+    /// `ServiceConfig::overload`. Its state changes only in
+    /// [`Admission::apply`], so it is a pure function of the journal.
     plane: Option<OverloadPlane>,
     now: Seconds,
     counters: Instruments,
     /// Write-ahead journal; `None` without durability. Every admission
     /// event is appended *before* its verdict is acked.
     journal: Option<Journal>,
-    /// Recovered submitted-but-undecided requests, re-driven before any
-    /// new traffic.
-    resume: Vec<(u64, VmRequest)>,
     /// Strictly above every ticket seen (or recovered); checkpoints
     /// persist it as `next_ticket`.
     ticket_watermark: u64,
@@ -1000,13 +922,20 @@ struct Admission {
     /// persist the nonzero entries and recovery replays journaled
     /// sweeps, so planned moves after a crash match the uncrashed run.
     hysteresis: Hysteresis,
-    /// Recovery found the journal ending on a decision frame whose
-    /// boundary `Migrate` frame may have been lost to the crash; see
-    /// [`crate::durable::Rebuilt::pending_sweep`].
+    /// Recovery found the journal ending on a decision frame: the
+    /// crashed process had finished a request, but the boundary
+    /// `Migrate` frame that may have been due was lost to the crash. The
+    /// live run swept before its next admission, so the recovered loop
+    /// re-checks consolidation before serving new traffic. A journal
+    /// that ends mid-request needs no flag: the boundary after the
+    /// re-driven request re-checks at the same virtual instant.
     pending_sweep: bool,
-    /// The crashed request's journaled retirement was already applied
-    /// by the rebuild, so re-driving it cannot observe it; see
-    /// [`crate::durable::Rebuilt::tail_retired`].
+    /// Recovery found that the crashed request retired resident VMs (a
+    /// mid-request `Clock`, or an admission's advance to its submit
+    /// instant) but its parked-retry pass is not in the journal. Replay
+    /// already applied the retirement, so the re-driven request sees no
+    /// freed capacity; the loop re-runs `advance(now)` plus the retry
+    /// pass explicitly, as the tail of `admit` would have.
     resume_retired: bool,
     /// Sticky read-only degradation: a journal append exhausted its
     /// retries, so no further decision can be made durable. Every
@@ -1028,7 +957,6 @@ impl Admission {
                     if let Some(t0) = t0 {
                         self.inflight.insert(ticket, t0);
                     }
-                    self.ticket_watermark = self.ticket_watermark.max(ticket + 1);
                     self.admit(ticket, &request, false);
                 }
                 Ctl::AdvanceTo { t, done } => {
@@ -1068,13 +996,250 @@ impl Admission {
         }
     }
 
+    /// The state transition of one journaled record, and the only one:
+    /// the live loop decides, journals the record, applies it here and
+    /// then acks, and [`Admission::recover`] applies every WAL tail
+    /// frame here too. Both therefore reach the same fleet, wait queue,
+    /// counters, hysteresis and overload plane by construction. Returns
+    /// the VMs retired: by a `Clock`, or by an admission's advance to
+    /// its submit instant.
+    fn apply(&mut self, record: Journaled<&WalRecord>) -> usize {
+        let record: &WalRecord = *record;
+        let mut retired = 0;
+        match record {
+            WalRecord::Submit { ticket, req } => {
+                let request = rec_to_req(req);
+                self.now = self.now.max(request.submit);
+                self.ticket_watermark = self.ticket_watermark.max(ticket + 1);
+                self.counters.submitted.inc();
+                self.counters.submitted_class[request.priority.index()].inc();
+                if let Some(plane) = self.plane.as_mut() {
+                    plane.on_submit(request.submit.0);
+                }
+                self.meta.insert(*ticket, request);
+            }
+            WalRecord::Clock { t } => {
+                let t = Seconds(*t);
+                self.now = self.now.max(t);
+                if let Some(plane) = self.plane.as_mut() {
+                    plane.on_clock(t.0);
+                }
+                retired = self.fleet.advance_to(t);
+            }
+            WalRecord::Admitted {
+                ticket, placements, ..
+            }
+            | WalRecord::AdmittedCrossShard {
+                ticket, placements, ..
+            } => {
+                let request = self.meta.remove(ticket);
+                if let Some(request) = &request {
+                    // The search ran on a fleet advanced to the submit
+                    // instant. That advance is not journaled: live it
+                    // already happened and this retires nothing; replay
+                    // re-derives it here.
+                    retired = self.fleet.advance_to(request.submit);
+                }
+                self.fleet.commit(placements.iter().map(rec_to_placement));
+                if matches!(record, WalRecord::Admitted { .. }) {
+                    self.counters.admitted_local.inc();
+                } else {
+                    self.counters.admitted_cross_shard.inc();
+                }
+                if self.unpark(*ticket) {
+                    self.counters.admitted_after_wait.inc();
+                }
+                if let Some(request) = request {
+                    self.counters.admitted_class[request.priority.index()].inc();
+                    if let Some(plane) = self.plane.as_mut() {
+                        plane.on_admitted(request.submit.0, request.deadline.0);
+                    }
+                }
+            }
+            WalRecord::Queued { ticket, .. } => {
+                if let Some(request) = self.meta.get(ticket) {
+                    self.parked.push_back(Parked {
+                        ticket: *ticket,
+                        request: request.clone(),
+                        parked_at: self.now,
+                    });
+                }
+            }
+            // An interim verdict this version never writes.
+            WalRecord::Requeued { .. } => {}
+            WalRecord::Shed { ticket, reason } => {
+                self.meta.remove(ticket);
+                self.unpark(*ticket);
+                if let Some(reason) = ShedReason::from_index(*reason) {
+                    if let Some(counter) = self.counters.shed(reason) {
+                        counter.inc();
+                    }
+                    if let Some(plane) = self.plane.as_mut() {
+                        plane.on_shed(reason.cuts_limits());
+                    }
+                }
+            }
+            WalRecord::Migrate {
+                epoch,
+                t,
+                stall,
+                moves,
+            } => self.sweep(*epoch, Seconds(*t), Seconds(*stall), moves),
+        }
+        self.counters.parked_depth.set(self.parked.len() as i64);
+        retired
+    }
+
+    /// Execute a journaled consolidation sweep. The frame is the
+    /// authority: exactly its moves run, never a re-planned set.
+    /// Draining "the first resident of the journaled type" picks the VM
+    /// the planner meant because resident vectors rebuild bit-exact, and
+    /// the journaled stall delays its finish instant. A donor counts as
+    /// drained when the sweep left it empty.
+    fn sweep(&mut self, epoch: u64, t: Seconds, stall: Seconds, moves: &[MoveRec]) {
+        self.now = self.now.max(t);
+        self.hysteresis.begin_sweep();
+        let mut plan = MovePlan::default();
+        let mut executed = 0u64;
+        let mut donors = BTreeSet::new();
+        for m in moves {
+            let Some(&ty) = WorkloadType::ALL.get(usize::from(m.ty)) else {
+                continue;
+            };
+            let (from, to) = (m.from as usize, m.to as usize);
+            plan.moves.push(Move { from, to, ty });
+            if self
+                .fleet
+                .migrate(ServerId::from(from), ServerId::from(to), ty, stall)
+            {
+                executed += 1;
+                donors.insert(from);
+            }
+        }
+        let sweeps = self
+            .config
+            .consolidation
+            .as_ref()
+            .map_or(1, |c| c.hysteresis_sweeps);
+        self.hysteresis.commit(&plan, sweeps);
+        let mixes: Vec<MixVector> = self.fleet.mixes().collect();
+        let drained = donors
+            .iter()
+            .filter(|&&h| mixes.get(h).is_some_and(MixVector::is_empty))
+            .count() as u64;
+        let c = &self.counters;
+        let last = c.consolidation_epoch.get();
+        if epoch > last {
+            c.consolidation_epoch.add(epoch - last);
+        }
+        c.consolidation_sweeps.inc();
+        c.consolidation_migrations.add(executed);
+        c.consolidation_hosts_drained.add(drained);
+    }
+
+    /// Drop `ticket` from the wait queue; `true` when it was parked.
+    fn unpark(&mut self, ticket: u64) -> bool {
+        match self.parked.iter().position(|p| p.ticket == ticket) {
+            Some(index) => self.parked.remove(index).is_some(),
+            None => false,
+        }
+    }
+
+    /// Rebuild the crashed process's state into this fresh loop: load
+    /// the newest usable snapshot, then [`Admission::apply`] every WAL
+    /// tail frame — the very transitions the crashed process ran — so
+    /// no search re-runs and every finish time, retirement instant and
+    /// later verdict comes out bit-identical to the uncrashed run.
+    fn recover(&mut self, state: &RecoveredState) -> RecoveryReport {
+        if let Some(snap) = &state.snapshot {
+            self.load_snapshot(snap);
+        }
+        for record in journaled::recovered(state) {
+            let frame: &WalRecord = *record;
+            // `meta` holds the parked tickets plus the one being
+            // decided, so equal sizes mean no request is mid-flight.
+            let idle = self.meta.len() == self.parked.len();
+            let retired = self.apply(record);
+            if idle && matches!(frame, WalRecord::Submit { .. } | WalRecord::Clock { .. }) {
+                // A new request, or a post-decision sync (or drain /
+                // AdvanceTo) made it to the journal: any retirement
+                // the previous request owed its retry pass was
+                // consumed or skipped, so the debt never carries.
+                self.resume_retired = false;
+            } else if retired > 0 {
+                self.resume_retired = true;
+            }
+            self.pending_sweep = matches!(
+                frame,
+                WalRecord::Admitted { .. }
+                    | WalRecord::AdmittedCrossShard { .. }
+                    | WalRecord::Queued { .. }
+                    | WalRecord::Shed { .. }
+            );
+        }
+        RecoveryReport {
+            snapshots_loaded: state.snapshots_loaded,
+            frames_replayed: state.tail().len() as u64,
+            torn_frames_dropped: state.torn_frames_dropped,
+            resumed_inflight: self.meta.len() - self.parked.len(),
+            restored_parked: self.parked.len(),
+            resident_vms: self.fleet.resident_vms(),
+            virtual_now: self.now,
+            next_ticket: self.ticket_watermark,
+            verdicts: state.verdict_lines(),
+        }
+    }
+
+    /// Load a checkpoint: fleet, clock, ticket watermark, wait queue and
+    /// counters. Reserved counter names carry hysteresis cooldowns and
+    /// overload-plane scalars instead; they never reach the real
+    /// counters, and the next checkpoint re-emits them fresh.
+    fn load_snapshot(&mut self, snap: &SnapshotRec) {
+        self.now = Seconds(snap.now);
+        self.ticket_watermark = snap.next_ticket;
+        if !snap.shards.is_empty() {
+            self.fleet.load_dump(&snap_to_dump(&snap.shards));
+        }
+        let mut cooldowns = Vec::new();
+        for (name, value) in &snap.counters {
+            if let Some(host) = name
+                .strip_prefix("consolidation_cooldown_")
+                .and_then(|s| s.parse::<usize>().ok())
+            {
+                cooldowns.push((host, u32::try_from(*value).unwrap_or(u32::MAX)));
+            } else if name.starts_with(OverloadPlane::COUNTER_PREFIX) {
+                if let Some(plane) = self.plane.as_mut() {
+                    plane.load(name, *value);
+                }
+            } else {
+                self.counters.seed(name, *value);
+            }
+        }
+        self.hysteresis = Hysteresis::restore(self.fleet.mixes().count(), &cooldowns);
+        for (ticket, rec, parked_at) in &snap.parked {
+            let request = rec_to_req(rec);
+            self.meta.insert(*ticket, request.clone());
+            self.parked.push_back(Parked {
+                ticket: *ticket,
+                request,
+                parked_at: Seconds(*parked_at),
+            });
+        }
+        self.counters.parked_depth.set(self.parked.len() as i64);
+    }
+
     /// Finish whatever the crashed process left half done, before any
-    /// new traffic: re-drive recovered in-flight requests (deterministic
-    /// re-execution lands them exactly where the crashed process would
+    /// new traffic: re-drive the request it was deciding (deterministic
+    /// re-execution lands it exactly where the crashed process would
     /// have), and complete a parked-retry pass or a consolidation sweep
     /// the crash cut short. A no-op on a fresh start.
     fn resume_recovered(&mut self) {
-        let resume = std::mem::take(&mut self.resume);
+        let resume: Vec<(u64, VmRequest)> = self
+            .meta
+            .iter()
+            .filter(|(ticket, _)| !self.parked.iter().any(|p| p.ticket == **ticket))
+            .map(|(ticket, request)| (*ticket, request.clone()))
+            .collect();
         let pending_sweep = std::mem::take(&mut self.pending_sweep);
         let resume_retired = std::mem::take(&mut self.resume_retired);
         if !resume.is_empty() {
@@ -1084,10 +1249,10 @@ impl Admission {
             if resume_retired && !self.parked.is_empty() {
                 // The crashed request's clock advance retired capacity,
                 // so the live run followed its decision with a parked
-                // retry — but the rebuild already applied that
-                // retirement, so the re-driven decision above saw zero
-                // freed capacity and skipped it. Re-run the retry tail
-                // of `admit`: the re-journaled `Clock` and the retry
+                // retry — but replay already applied that retirement,
+                // so the re-driven decision above saw zero freed
+                // capacity and skipped it. Re-run the retry tail of
+                // `admit`: the re-journaled `Clock` and the retry
                 // admissions land frame-for-frame where the crashed
                 // process would have put them.
                 self.advance(self.now);
@@ -1137,7 +1302,7 @@ impl Admission {
             Ok(journaled) => Some(journaled),
             Err(err) => {
                 self.storage_degraded = true;
-                self.counters.durability.degraded_entries.add(1);
+                self.counters.durability.degraded_entries.inc();
                 self.config.telemetry.event(
                     self.now.0,
                     "service",
@@ -1150,14 +1315,11 @@ impl Admission {
         }
     }
 
-    /// Journal and ack a verdict; an admission is committed to the fleet
-    /// only once this returns `true`. Returns `true` when the intended
-    /// verdict was acked; `false` when it could not be made durable and
-    /// was downgraded to a storage-degraded shed. Either way the ticket
-    /// has received exactly one answer for this call — on `false` the
-    /// (shed) answer was *final*, so callers must neither bump the
-    /// intended verdict's outcome counter nor keep the ticket queued
-    /// for a second one.
+    /// Journal a verdict, apply it, then ack it. Returns `true` when the
+    /// intended verdict was acked; `false` when it could not be made
+    /// durable and was downgraded to a storage-degraded shed, which is
+    /// the ticket's final answer. Either way the ticket has received
+    /// exactly one answer for this call.
     fn verdict(&mut self, ticket: u64, verdict: Verdict) -> bool {
         // The admission latency is submit to *first* verdict: a parked
         // request's `Queued` verdict stops its clock, the later
@@ -1174,82 +1336,32 @@ impl Admission {
         // durable must not be acked either — the client instead learns
         // the service degraded, and still gets exactly one answer.
         let record = verdict_to_record(ticket, &verdict);
-        let (ack, acked) = match self.journal_append(&record, (ticket, verdict)) {
-            Some(ack) => {
-                self.note_verdict(ticket, &ack.1);
-                (ack, true)
+        match self.journal_append(&record, (&record, (ticket, verdict))) {
+            Some(journaled) => {
+                let (record, ack) = journaled.split();
+                self.apply(record);
+                self.verdict_tx.send(ack);
+                true
             }
             None => {
-                self.counters.shed_storage_degraded.add(1);
-                // The degraded shed is the ticket's final answer; it was
-                // never journaled, so no plane hook fires for it (replay
-                // will not see it either).
+                // Never journaled, so never applied: the ticket is
+                // answered finally without touching the fleet or the
+                // overload plane (replay will not see it either).
+                self.counters.shed_storage_degraded.inc();
                 self.meta.remove(&ticket);
-                (Journaled::storage_degraded_shed(ticket), false)
+                self.unpark(ticket);
+                self.counters.parked_depth.set(self.parked.len() as i64);
+                self.verdict_tx
+                    .send(Journaled::storage_degraded_shed(ticket));
+                false
             }
-        };
-        self.verdict_tx.send(ack);
-        acked
+        }
     }
 
-    /// Journal and ack a shed, counting it under its reason once acked
-    /// (a shed that degraded is counted as a storage shed by
-    /// [`Admission::verdict`]). Returns whether it was acked.
+    /// Journal, apply and ack a shed. Returns whether it was acked.
     fn shed(&mut self, ticket: u64, view: &RequestView, reason: ShedReason) -> bool {
         self.shed_event(ticket, view, reason);
-        let acked = self.verdict(ticket, Verdict::Shed { reason });
-        let c = &self.counters;
-        let counter = match reason {
-            ShedReason::WaitQueueFull => Some(&c.shed_wait_queue),
-            ShedReason::Unplaceable => Some(&c.shed_unplaceable),
-            ShedReason::QueueAged => Some(&c.shed_queue_aged),
-            ShedReason::BrownoutClass => Some(&c.shed_brownout_class),
-            ShedReason::AdmissionFull | ShedReason::ShardFailure | ShedReason::StorageDegraded => {
-                None
-            }
-        };
-        if let (true, Some(counter)) = (acked, counter) {
-            counter.add(1);
-        }
-        acked
-    }
-
-    /// A verdict record just became durable: fire the overload plane's
-    /// matching hook and settle the per-ticket metadata. Mirrored
-    /// record-for-record by WAL replay in `rebuild`, which is what
-    /// keeps plane state a pure function of the journal.
-    fn note_verdict(&mut self, ticket: u64, verdict: &Verdict) {
-        match verdict {
-            Verdict::Admitted { .. } | Verdict::AdmittedCrossShard { .. } => {
-                if let Some((submit, deadline, priority)) = self.meta.remove(&ticket) {
-                    if let Some(plane) = self.plane.as_mut() {
-                        plane.on_admitted(submit.0, deadline.0);
-                    }
-                    self.counters.admitted_class[priority.index()].add(1);
-                }
-            }
-            Verdict::Shed { reason } => {
-                self.meta.remove(&ticket);
-                if let Some(plane) = self.plane.as_mut() {
-                    plane.on_shed(reason.cuts_limits());
-                }
-            }
-            // Interim verdicts: the ticket still awaits a final answer.
-            Verdict::Queued { .. } | Verdict::Requeued { .. } => {}
-        }
-    }
-
-    /// A `Submit` record just became durable: register the ticket's
-    /// verdict-time metadata, count its class, and advance the plane
-    /// (clock, breaker probe). Replay fires the identical hook per
-    /// journaled `Submit` frame.
-    fn note_submit(&mut self, ticket: u64, request: &VmRequest) {
-        self.meta
-            .insert(ticket, (request.submit, request.deadline, request.priority));
-        self.counters.submitted_class[request.priority.index()].add(1);
-        if let Some(plane) = self.plane.as_mut() {
-            plane.on_submit(request.submit.0);
-        }
+        self.verdict(ticket, Verdict::Shed { reason })
     }
 
     /// The brownout ladder's current rung, from the fleet's resident
@@ -1271,8 +1383,8 @@ impl Admission {
     /// whole fleet, and place, park or shed it; then retry the wait
     /// queue if the request's clock advances freed capacity. `resumed`
     /// marks a recovered in-flight request being re-driven: its
-    /// submission was already journaled and counted by the crashed
-    /// process, so neither happens again.
+    /// `Submit` was already journaled by the crashed process and
+    /// applied by recovery, so neither happens again.
     fn admit(&mut self, ticket: u64, request: &VmRequest, resumed: bool) {
         let view = view_of(request);
         if !resumed {
@@ -1280,11 +1392,13 @@ impl Admission {
                 ticket,
                 req: req_to_rec(request),
             };
-            if self.journal_append(&record, ()).is_some() {
-                self.note_submit(ticket, request);
+            match self.journal_append(&record, &record) {
+                Some(submit) => {
+                    self.apply(submit);
+                }
+                // Counted even when degraded, so conservation holds.
+                None => self.counters.submitted.inc(),
             }
-            // Counted even when degraded, so conservation holds.
-            self.counters.submitted.add(1);
         }
         if self.storage_degraded {
             // Read-only degradation: nothing can be made durable, so
@@ -1299,30 +1413,28 @@ impl Admission {
         // brownout rung and queue-full decisions below see exactly the
         // wait queue a post-crash replay would.
         self.shed_aged();
-        self.now = self.now.max(request.submit);
         // Brownout ladder: under pressure, sheddable classes are
         // refused before any placement work. Applies to re-driven
         // requests too — their decision never made the journal, and the
-        // rebuilt plane and fleet are exactly what the crashed process
+        // recovered plane and fleet are exactly what the crashed process
         // would have judged them by.
         if OverloadPlane::sheds_class(self.brownout_rung(), request.priority) {
             self.shed(ticket, &view, ShedReason::BrownoutClass);
             return;
         }
         // The clock advance to the submit instant is not journaled:
-        // replay re-derives it from the `Admitted` frame (or from the
-        // `Clock` frame a failed search journals next).
+        // applying the `Admitted` frame re-derives it (or the `Clock`
+        // frame a failed search journals next covers it).
         let mut retired = self.fleet.advance_to(request.submit);
         match self.fleet.search(&view) {
             Some(placements) => {
-                let admitted = Verdict::Admitted {
-                    shard: 0,
-                    placements: placements.clone(),
-                };
-                if self.verdict(ticket, admitted) {
-                    self.fleet.commit(&placements);
-                    self.counters.admitted_local.add(1);
-                }
+                self.verdict(
+                    ticket,
+                    Verdict::Admitted {
+                        shard: 0,
+                        placements,
+                    },
+                );
             }
             None => {
                 // Sync the clock to `now` (journaled, so the aging pass
@@ -1339,14 +1451,13 @@ impl Admission {
                 };
                 match placements {
                     Some(placements) => {
-                        let admitted = Verdict::AdmittedCrossShard {
-                            shards: vec![0],
-                            placements: placements.clone(),
-                        };
-                        if self.verdict(ticket, admitted) {
-                            self.fleet.commit(&placements);
-                            self.counters.admitted_cross_shard.add(1);
-                        }
+                        self.verdict(
+                            ticket,
+                            Verdict::AdmittedCrossShard {
+                                shards: vec![0],
+                                placements,
+                            },
+                        );
                     }
                     None => self.park_or_shed(ticket, view),
                 }
@@ -1359,31 +1470,15 @@ impl Admission {
     }
 
     /// Park a fleet-wide-infeasible request, or shed it when the wait
-    /// queue is full.
+    /// queue is full. Applying the durable `Queued` record parks it; an
+    /// ack that degraded to a shed answered it finally instead.
     fn park_or_shed(&mut self, ticket: u64, view: RequestView) {
         if self.parked.len() >= self.config.queue_capacity {
             self.shed(ticket, &view, ShedReason::WaitQueueFull);
             return;
         }
-        // Park only once the `Queued` ack is durable: an ack that
-        // degraded to a shed already answered the ticket finally, so it
-        // must not stay queued for a second verdict.
         let depth = self.parked.len() + 1;
-        if self.verdict(ticket, Verdict::Queued { depth }) {
-            let (submit, priority) = self
-                .meta
-                .get(&ticket)
-                .map(|&(submit, _, priority)| (submit, priority))
-                .unwrap_or((self.now, Priority::Standard));
-            self.parked.push_back(Parked {
-                ticket,
-                view,
-                submit,
-                priority,
-                parked_at: self.now,
-            });
-            self.counters.parked_depth.set(self.parked.len() as i64);
-        }
+        self.verdict(ticket, Verdict::Queued { depth });
     }
 
     /// CoDel-style pass over the wait queue: shed every parked request
@@ -1394,20 +1489,17 @@ impl Admission {
     /// run did. No-op without the plane.
     fn shed_aged(&mut self) {
         let mut index = 0;
-        while index < self.parked.len() {
-            let aged = match (self.plane.as_ref(), self.parked.get(index)) {
-                (Some(plane), Some(entry)) => plane.queue_aged(entry.parked_at.0),
-                _ => return,
+        while let Some(entry) = self.parked.get(index) {
+            let Some(plane) = self.plane.as_ref() else {
+                return;
             };
-            if !aged {
+            if !plane.queue_aged(entry.parked_at.0) {
                 index += 1;
                 continue;
             }
-            let Some(entry) = self.parked.remove(index) else {
-                return;
-            };
-            self.counters.parked_depth.set(self.parked.len() as i64);
-            self.shed(entry.ticket, &entry.view, ShedReason::QueueAged);
+            // Applying the shed (or its degraded answer) unparks it.
+            let (ticket, view) = (entry.ticket, view_of(&entry.request));
+            self.shed(ticket, &view, ShedReason::QueueAged);
         }
     }
 
@@ -1437,22 +1529,22 @@ impl Admission {
     }
 
     /// Run one consolidation sweep if the virtual clock has crossed
-    /// into a new epoch. The sweep plans over the fleet, journals the
+    /// into a new epoch. The sweep plans over the fleet and journals the
     /// full move list *before* moving anything — the frame, not the
-    /// re-planned sweep, is the replay authority — then executes each
-    /// move as a drain/inject pair, charging the moved VM its pre-copy
-    /// stall by pushing its finish instant out.
+    /// re-planned sweep, is the replay authority — then applies it. A
+    /// read-only degraded loop never sweeps: it can journal nothing.
     fn maybe_consolidate(&mut self) {
         let Some(cfg) = self.config.consolidation.clone() else {
             return;
         };
         let epoch = cfg.epoch_of(self.now);
-        let last = self.counters.consolidation_epoch.get();
-        if epoch <= last {
+        if self.storage_degraded || epoch <= self.counters.consolidation_epoch.get() {
             return;
         }
-        self.counters.consolidation_epoch.add(epoch - last);
-        self.hysteresis.begin_sweep();
+        // Plan against the cooldowns this sweep will see; applying the
+        // journaled frame decays the real ones.
+        let mut hysteresis = self.hysteresis.clone();
+        hysteresis.begin_sweep();
         let hosts: Vec<HostLoad> = self
             .fleet
             .mixes()
@@ -1464,14 +1556,11 @@ impl Admission {
         // The loop's richer guard is the per-server OS bound; the
         // per-receiver capacity bound lives in the config itself.
         let bound = self.fleet.max_mix();
-        let plan = plan_moves(&hosts, &cfg, &self.hysteresis, |_, mix| {
-            mix.fits_within(&bound)
-        });
-        let cost = cfg.model.cost();
+        let plan = plan_moves(&hosts, &cfg, &hysteresis, |_, mix| mix.fits_within(&bound));
         let record = WalRecord::Migrate {
             epoch,
             t: self.now.0,
-            stall: cost.stall.0,
+            stall: cfg.model.cost().stall.0,
             moves: plan
                 .moves
                 .iter()
@@ -1485,26 +1574,19 @@ impl Admission {
         // Journal-before-execute: an unjournaled sweep would be
         // invisible to recovery, so its moves must never touch the
         // fleet.
-        let Some(moves) = self.journal_append(&record, plan.moves.as_slice()) else {
+        let Some(sweep) = self.journal_append(&record, &record) else {
             return;
         };
-        let mut executed = 0u64;
-        for m in moves.iter() {
-            if self.execute_move(m, cost.stall) {
-                executed += 1;
-            }
-        }
-        let mixes: Vec<MixVector> = self.fleet.mixes().collect();
-        let drained = plan
-            .emptied
-            .iter()
-            .filter(|&&h| mixes.get(h).is_some_and(MixVector::is_empty))
-            .count() as u64;
-        self.hysteresis.commit(&plan, cfg.hysteresis_sweeps);
-        self.counters.consolidation_sweeps.add(1);
-        self.counters.consolidation_migrations.add(executed);
-        self.counters.consolidation_hosts_drained.add(drained);
-        if executed > 0 {
+        let c = &self.counters;
+        let before = (
+            c.consolidation_migrations.get(),
+            c.consolidation_hosts_drained.get(),
+        );
+        self.apply(sweep);
+        let c = &self.counters;
+        let migrations = c.consolidation_migrations.get() - before.0;
+        if migrations > 0 {
+            let drained = c.consolidation_hosts_drained.get() - before.1;
             self.config.telemetry.event(
                 self.now.0,
                 "service",
@@ -1512,28 +1594,11 @@ impl Admission {
                 "consolidation sweep",
                 vec![
                     ("epoch", epoch.to_string()),
-                    ("migrations", executed.to_string()),
+                    ("migrations", migrations.to_string()),
                     ("hosts_drained", drained.to_string()),
                 ],
             );
         }
-    }
-
-    /// Execute one planned migration: drain the VM off its donor
-    /// (learning its finish instant) and land it on the receiver with
-    /// the finish pushed out by `stall`. A failed drain skips the move;
-    /// a failed landing puts the VM back on its donor.
-    fn execute_move(&mut self, m: Journaled<&eavm_migrate::Move>, stall: Seconds) -> bool {
-        let from = ServerId::from(m.from);
-        let to = ServerId::from(m.to);
-        let Some(finish) = self.fleet.drain_vm(from, m.ty) else {
-            return false;
-        };
-        if self.fleet.inject_vm(to, m.ty, finish + stall) {
-            return true;
-        }
-        self.fleet.inject_vm(from, m.ty, finish);
-        false
     }
 
     /// Write a checkpoint when the journal's cadence says one is due.
@@ -1556,13 +1621,7 @@ impl Admission {
             parked: self
                 .parked
                 .iter()
-                .map(|p| {
-                    (
-                        p.ticket,
-                        parked_to_rec(&p.view, p.submit, p.priority),
-                        p.parked_at.0,
-                    )
-                })
+                .map(|p| (p.ticket, req_to_rec(&p.request), p.parked_at.0))
                 .collect(),
             counters: {
                 // Nonzero hysteresis cooldowns ride along as reserved
@@ -1604,29 +1663,29 @@ impl Admission {
     /// Advance the virtual clock to `t`, journaled, retiring finished
     /// VMs. Returns the number retired.
     fn advance(&mut self, t: Seconds) -> usize {
-        self.now = self.now.max(t);
         // Clock advances are journaled so recovery retires resident VMs
-        // at exactly the instants the live run did. A failed append is
-        // tolerable here — retirement is monotone with virtual time, so
-        // replaying without this frame can only retire the same VMs a
-        // little later — and the degraded flag it sets sheds everything
-        // that could have observed the difference.
-        if self
-            .journal_append(&WalRecord::Clock { t: t.0 }, ())
-            .is_some()
-        {
-            if let Some(plane) = self.plane.as_mut() {
-                plane.on_clock(t.0);
+        // at exactly the instants the live run did.
+        let record = WalRecord::Clock { t: t.0 };
+        match self.journal_append(&record, &record) {
+            Some(clock) => self.apply(clock),
+            // Read-only degraded: the clock still moves, so a drain
+            // ends, but nothing observes it that replay could not —
+            // every later request is shed without a search.
+            None => {
+                self.now = self.now.max(t);
+                self.fleet.advance_to(t)
             }
         }
-        self.fleet.advance_to(t)
     }
 
     /// FIFO retry of parked requests; stops at the first one that still
     /// doesn't fit (head-of-line blocking mirrors the simulator queue).
+    /// Applying each admission (or its degraded shed) unparks the head.
     fn retry_parked(&mut self) {
         self.shed_aged();
-        while let Some(view) = self.parked.front().map(|p| p.view) {
+        while let Some((ticket, view)) =
+            self.parked.front().map(|p| (p.ticket, view_of(&p.request)))
+        {
             let placements = if self.fleet.capacity_feasible(&view) {
                 self.fleet.search(&view)
             } else {
@@ -1635,19 +1694,13 @@ impl Admission {
             let Some(placements) = placements else {
                 return;
             };
-            let Some(head) = self.parked.pop_front() else {
-                return;
-            };
-            self.counters.parked_depth.set(self.parked.len() as i64);
-            let admitted = Verdict::AdmittedCrossShard {
-                shards: vec![0],
-                placements: placements.clone(),
-            };
-            if self.verdict(head.ticket, admitted) {
-                self.fleet.commit(&placements);
-                self.counters.admitted_cross_shard.add(1);
-                self.counters.admitted_after_wait.add(1);
-            }
+            self.verdict(
+                ticket,
+                Verdict::AdmittedCrossShard {
+                    shards: vec![0],
+                    placements,
+                },
+            );
         }
     }
 
@@ -1670,12 +1723,13 @@ impl Admission {
                 None => {
                     // Fleet fully drained and the head still does not
                     // fit: it (and anything behind it) never will.
-                    while let Some(head) = self.parked.pop_front() {
-                        if self.shed(head.ticket, &head.view, ShedReason::Unplaceable) {
+                    while let Some((ticket, view)) =
+                        self.parked.front().map(|p| (p.ticket, view_of(&p.request)))
+                    {
+                        if self.shed(ticket, &view, ShedReason::Unplaceable) {
                             report.shed_unplaceable += 1;
                         }
                     }
-                    self.counters.parked_depth.set(0);
                     break;
                 }
             }
@@ -1768,7 +1822,8 @@ pub fn drive_paced(service: &AllocService, requests: &[VmRequest]) -> Result<(),
 mod tests {
     use super::*;
     use eavm_benchdb::DbBuilder;
-    use eavm_types::{JobId, WorkloadType};
+    use eavm_overload::Priority;
+    use eavm_types::JobId;
 
     fn db() -> ModelDatabase {
         DbBuilder::exact().build().expect("db")
@@ -2011,14 +2066,25 @@ mod tests {
         config.durability = Some(
             DurabilityConfig::new(&dir)
                 .with_checkpoint_every(2)
-                .with_checkpoint_retry_budget(1)
                 .with_storage_faults(StorageFaultConfig::quiet(11).with_fail_rename(1.0)),
         );
         let service = AllocService::start(db(), config).expect("start");
         for i in 0..10 {
             service.submit(request(i, 0.0, WorkloadType::Cpu, 1));
         }
+        // Pump one `Clock` frame per advance until the backoff (2, 4,
+        // 8, 16 frames between attempts) exhausts the retry budget.
+        for _ in 0..16 {
+            service.advance_to(Seconds(0.0)).expect("advance");
+        }
         let stats = service.stats().expect("stats");
+        let disabled = service
+            .telemetry()
+            .journal()
+            .events()
+            .iter()
+            .any(|e| e.message.contains("retry budget exhausted"));
+        assert!(disabled, "snapshots were never disabled");
         // Every snapshot rename fails: the journal backs off, then
         // disables snapshots — but admissions never degrade, because
         // the WAL alone still carries every decision.

@@ -53,7 +53,6 @@ proptest! {
             DbModel::with_counters(db().clone(), Counter::standalone(), Counter::standalone()),
             faults,
             Counter::standalone(),
-            0,
         );
         let primary = DbModel::new(db().clone());
         let analytic = AnalyticModel::reference();

@@ -1,7 +1,7 @@
 //! # eavm-telemetry
 //!
 //! Dependency-free observability for the EAVM workspace: a named
-//! metrics [`Registry`] (sharded atomic [`Counter`]s, [`Gauge`]s,
+//! metrics [`Registry`] (atomic [`Counter`]s, [`Gauge`]s,
 //! log-bucketed [`Histogram`]s with p50/p95/p99/max), a bounded
 //! structured event [`Journal`], and deterministic exporters
 //! (Prometheus text format and JSON, see [`MetricsSnapshot`]).
@@ -86,20 +86,10 @@ impl Telemetry {
         self.enabled
     }
 
-    /// Get or register a single-stripe counter (no-op when disabled).
+    /// Get or register a counter (no-op when disabled).
     pub fn counter(&self, name: &str) -> Counter {
         if self.enabled {
             self.registry.counter(name)
-        } else {
-            Counter::noop()
-        }
-    }
-
-    /// Get or register a counter with `stripes` independent write lanes
-    /// (no-op when disabled).
-    pub fn sharded_counter(&self, name: &str, stripes: usize) -> Counter {
-        if self.enabled {
-            self.registry.sharded_counter(name, stripes)
         } else {
             Counter::noop()
         }
@@ -159,7 +149,7 @@ mod tests {
     fn enabled_handle_records() {
         let t = Telemetry::new();
         t.counter("a").inc();
-        t.sharded_counter("b", 2).add_on(1, 4);
+        t.counter("b").add(4);
         t.gauge("g").set(7);
         t.histogram("h").record(10);
         t.event(1.0, "test", Severity::Info, "hello", vec![]);
@@ -176,7 +166,7 @@ mod tests {
         let t = Telemetry::disabled();
         assert!(!t.is_enabled());
         t.counter("a").inc();
-        t.sharded_counter("b", 4).add(9);
+        t.counter("b").add(9);
         t.gauge("g").set(7);
         t.histogram("h").record(10);
         t.event(1.0, "test", Severity::Error, "dropped", vec![]);

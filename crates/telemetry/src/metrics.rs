@@ -1,13 +1,10 @@
-//! Metric instruments: sharded atomic counters, gauges, log-bucketed
+//! Metric instruments: atomic counters, gauges, log-bucketed
 //! histograms, and the registry that names them.
 //!
 //! Every instrument is a cheap cloneable handle around an `Arc`'d core
 //! (or nothing at all for the no-op variant handed out by a disabled
 //! [`crate::Telemetry`]). Writers never lock: counters and histograms
-//! are relaxed atomics, and a *sharded* counter spreads its hot
-//! increments across cache-line-padded stripes so independent worker
-//! threads never contend on one cache line — while still exposing both
-//! the per-stripe value (one stripe per writer) and the sum.
+//! are relaxed atomics.
 //!
 //! Reads are snapshots: [`Registry::snapshot`] walks the sorted
 //! instrument map, so exports are deterministic in ordering regardless
@@ -17,27 +14,14 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// One counter stripe, padded to a cache line so adjacent stripes never
-/// false-share.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct Stripe(AtomicU64);
-
-#[derive(Debug)]
-struct CounterCore {
-    stripes: Box<[Stripe]>,
-}
-
 /// A monotonically increasing counter.
 ///
-/// Handles are cheap clones; a handle built by [`Counter::noop`] drops
-/// every write and reads zero (the disabled-telemetry path). Multi-stripe
-/// counters ([`Counter::standalone_sharded`]) let each writer thread own
-/// a stripe: [`Counter::get`] sums all stripes, [`Counter::on_stripe`]
-/// reads one.
+/// Handles are cheap clones sharing one atomic; a handle built by
+/// [`Counter::noop`] drops every write and reads zero (the
+/// disabled-telemetry path).
 #[derive(Debug, Clone, Default)]
 pub struct Counter {
-    core: Option<Arc<CounterCore>>,
+    core: Option<Arc<AtomicU64>>,
 }
 
 impl Counter {
@@ -46,18 +30,10 @@ impl Counter {
         Counter { core: None }
     }
 
-    /// A single-stripe counter not attached to any registry.
+    /// A counter not attached to any registry.
     pub fn standalone() -> Counter {
-        Counter::standalone_sharded(1)
-    }
-
-    /// A counter with `stripes` independent write lanes (min 1).
-    pub fn standalone_sharded(stripes: usize) -> Counter {
-        let stripes = stripes.max(1);
         Counter {
-            core: Some(Arc::new(CounterCore {
-                stripes: (0..stripes).map(|_| Stripe::default()).collect(),
-            })),
+            core: Some(Arc::new(AtomicU64::new(0))),
         }
     }
 
@@ -66,43 +42,22 @@ impl Counter {
         self.core.is_some()
     }
 
-    /// Add 1 to stripe 0.
+    /// Add 1.
     pub fn inc(&self) {
         self.add(1);
     }
 
-    /// Add `n` to stripe 0.
+    /// Add `n`.
     pub fn add(&self, n: u64) {
-        self.add_on(0, n);
-    }
-
-    /// Add `n` to a specific stripe (wraps modulo the stripe count).
-    pub fn add_on(&self, stripe: usize, n: u64) {
         if let Some(core) = &self.core {
-            let i = stripe % core.stripes.len();
-            core.stripes[i].0.fetch_add(n, Ordering::Relaxed);
+            core.fetch_add(n, Ordering::Relaxed);
         }
     }
 
-    /// Sum of all stripes.
+    /// Current value.
     pub fn get(&self) -> u64 {
         match &self.core {
-            Some(core) => core
-                .stripes
-                .iter()
-                .map(|s| s.0.load(Ordering::Relaxed))
-                .sum(),
-            None => 0,
-        }
-    }
-
-    /// Value of one stripe (wraps modulo the stripe count).
-    pub fn on_stripe(&self, stripe: usize) -> u64 {
-        match &self.core {
-            Some(core) => {
-                let i = stripe % core.stripes.len();
-                core.stripes[i].0.load(Ordering::Relaxed)
-            }
+            Some(core) => core.load(Ordering::Relaxed),
             None => 0,
         }
     }
@@ -345,18 +300,12 @@ impl Registry {
         Registry::default()
     }
 
-    /// Get or register a single-stripe counter.
+    /// Get or register a counter.
     pub fn counter(&self, name: &str) -> Counter {
-        self.sharded_counter(name, 1)
-    }
-
-    /// Get or register a counter with `stripes` write lanes. An existing
-    /// counter is returned as-is (its stripe count wins).
-    pub fn sharded_counter(&self, name: &str, stripes: usize) -> Counter {
         let mut map = self.instruments.lock().expect("registry poisoned");
         match map
             .entry(name.to_string())
-            .or_insert_with(|| Instrument::Counter(Counter::standalone_sharded(stripes)))
+            .or_insert_with(|| Instrument::Counter(Counter::standalone()))
         {
             Instrument::Counter(c) => c.clone(),
             _ => Counter::noop(),
@@ -407,24 +356,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_sums_stripes_and_reads_each() {
-        let c = Counter::standalone_sharded(4);
-        c.add_on(0, 5);
-        c.add_on(1, 7);
-        c.add_on(3, 1);
-        c.add_on(7, 1); // wraps onto stripe 3
-        assert_eq!(c.get(), 14);
-        assert_eq!(c.on_stripe(0), 5);
-        assert_eq!(c.on_stripe(1), 7);
-        assert_eq!(c.on_stripe(2), 0);
-        assert_eq!(c.on_stripe(3), 2);
+    fn counter_adds_and_is_consistent_under_threads() {
+        let c = Counter::standalone();
+        c.inc();
+        c.add(4);
+        assert_eq!(c.get(), 5);
+        assert!(c.is_enabled());
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                let c = c.clone();
+                scope.spawn(move || {
+                    for _ in 0..10_000 {
+                        c.inc();
+                    }
+                });
+            }
+        });
+        assert_eq!(c.get(), 40_005);
     }
 
     #[test]
     fn noop_counter_drops_writes() {
         let c = Counter::noop();
         c.inc();
-        c.add_on(3, 99);
+        c.add(99);
         assert_eq!(c.get(), 0);
         assert!(!c.is_enabled());
     }
@@ -437,25 +392,6 @@ mod tests {
         b.add(2);
         assert_eq!(a.get(), 3);
         assert_eq!(b.get(), 3);
-    }
-
-    #[test]
-    fn striped_counter_is_consistent_under_threads() {
-        let c = Counter::standalone_sharded(4);
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let c = c.clone();
-                scope.spawn(move || {
-                    for _ in 0..10_000 {
-                        c.add_on(t, 1);
-                    }
-                });
-            }
-        });
-        assert_eq!(c.get(), 40_000);
-        for t in 0..4 {
-            assert_eq!(c.on_stripe(t), 10_000);
-        }
     }
 
     #[test]

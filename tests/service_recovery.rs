@@ -18,6 +18,7 @@ use eavm::migrate::ConsolidationConfig;
 use eavm::prelude::*;
 use eavm::service::{
     drive_paced, replay_online, verdict_line, AllocService, DurabilityConfig, ServiceConfig,
+    ServiceStats,
 };
 use proptest::prelude::*;
 
@@ -73,6 +74,44 @@ fn config(dir: &Path) -> ServiceConfig {
     config
 }
 
+/// Every counter a recovered run must carry over, plus the state it
+/// ends in, by name: a recovered run that re-drives the rest of the
+/// traffic must end exactly where the uncrashed control did, not only
+/// hand out the same verdicts.
+fn final_state(stats: &ServiceStats) -> Vec<(&'static str, u64)> {
+    let [sb, ss, si] = stats.submitted_class;
+    let [ab, as_, ai] = stats.admitted_class;
+    vec![
+        ("submitted", stats.submitted),
+        ("admitted_local", stats.admitted_local),
+        ("admitted_cross_shard", stats.admitted_cross_shard),
+        ("admitted_after_wait", stats.admitted_after_wait),
+        ("shed_admission", stats.shed_admission),
+        ("shed_wait_queue", stats.shed_wait_queue),
+        ("shed_unplaceable", stats.shed_unplaceable),
+        ("shed_shard_failure", stats.shed_shard_failure),
+        ("shed_storage_degraded", stats.shed_storage_degraded),
+        ("shed_queue_aged", stats.shed_queue_aged),
+        ("shed_brownout_class", stats.shed_brownout_class),
+        ("submitted_class_batch", sb),
+        ("submitted_class_standard", ss),
+        ("submitted_class_interactive", si),
+        ("admitted_class_batch", ab),
+        ("admitted_class_standard", as_),
+        ("admitted_class_interactive", ai),
+        ("consolidation_sweeps", stats.consolidation_sweeps),
+        ("consolidation_migrations", stats.consolidation_migrations),
+        (
+            "consolidation_hosts_drained",
+            stats.consolidation_hosts_drained,
+        ),
+        ("parked", stats.parked),
+        ("resident_vms", stats.resident_vms as u64),
+        ("virtual_now_bits", stats.virtual_now.0.to_bits()),
+        ("estimated_energy_bits", stats.estimated_energy.0.to_bits()),
+    ]
+}
+
 /// The journaled verdict stream of a directory, stably ordered by
 /// ticket (a ticket that was first Queued and later Admitted keeps its
 /// two lines in emission order).
@@ -91,6 +130,7 @@ fn recovery_is_bit_exact_at_every_wal_truncation_point() {
     let ctrl = tmp("ctrl");
     let report = replay_online(&db, config(&ctrl), &requests).expect("control run");
     let control = journal_lines(&ctrl);
+    let control_state = final_state(&report.stats);
 
     // The journal reconstructs exactly the verdict stream the live
     // service handed out (same pinned line format, same tickets).
@@ -158,13 +198,19 @@ fn recovery_is_bit_exact_at_every_wal_truncation_point() {
         drive_paced(&service, &requests[resume_from..]).expect("re-drive");
         service.drain().expect("drain");
         let _ = service.poll_verdicts();
-        service.shutdown().expect("shutdown");
+        let stats = service.shutdown().expect("shutdown");
 
         let recovered = journal_lines(&dir);
         assert_eq!(
             recovered,
             control,
             "verdict log diverged after crash at WAL frame {k}/{}",
+            payloads.len()
+        );
+        assert_eq!(
+            final_state(&stats),
+            control_state,
+            "counters or final state diverged after crash at WAL frame {k}/{}",
             payloads.len()
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -288,6 +334,12 @@ fn recovery_is_bit_exact_across_consolidation_sweeps() {
                 report.stats.consolidation_hosts_drained,
             ),
             "consolidation totals diverged after crash at WAL frame {k}/{}",
+            payloads.len()
+        );
+        assert_eq!(
+            final_state(&stats),
+            final_state(&report.stats),
+            "counters or final state diverged after crash at WAL frame {k}/{}",
             payloads.len()
         );
         let _ = std::fs::remove_dir_all(&dir);
