@@ -273,9 +273,10 @@ fn bench_db_build(c: &mut Criterion) {
 }
 
 fn bench_durability(c: &mut Criterion) {
-    use eavm_durability::{
-        recover_dir, wal_path, PlacementRec, ReqRec, SnapshotRec, Wal, WalRecord,
-    };
+    use eavm_core::Placement;
+    use eavm_durability::{recover_dir, wal_path, FleetDump, SnapshotRec, Verdict, Wal, WalRecord};
+    use eavm_swf::{Priority, VmRequest};
+    use eavm_types::{JobId, Joules, MixVector, Seconds, ServerId, WorkloadType};
 
     fn bench_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("eavm-bench-dur-{}-{tag}", std::process::id()));
@@ -285,15 +286,15 @@ fn bench_durability(c: &mut Criterion) {
     }
 
     fn admitted(ticket: u64) -> WalRecord {
-        WalRecord::Admitted {
+        WalRecord::Verdict {
             ticket,
-            shard: 0,
-            placements: vec![PlacementRec {
-                server: (ticket % 16) as u32,
-                cpu: 2,
-                mem: 1,
-                io: 0,
-            }],
+            verdict: Verdict::Admitted {
+                shard: 0,
+                placements: vec![Placement {
+                    server: ServerId((ticket % 16) as u32),
+                    add: MixVector::new(2, 1, 0),
+                }],
+            },
         }
     }
 
@@ -333,13 +334,13 @@ fn bench_durability(c: &mut Criterion) {
     {
         let (mut wal, _) = Wal::open(&wal_path(&replay)).unwrap();
         for ticket in 0..1_000u64 {
-            let req = ReqRec {
-                id: ticket as u32,
-                submit: ticket as f64,
-                workload: (ticket % 3) as u8,
+            let req = VmRequest {
+                id: JobId(ticket as u32),
+                submit: Seconds(ticket as f64),
+                workload: WorkloadType::from_index((ticket % 3) as usize),
                 vm_count: 2,
-                deadline: 5_000.0,
-                priority: (ticket % 3) as u8,
+                deadline: Seconds(5_000.0),
+                priority: Priority::from_index((ticket % 3) as usize),
             };
             wal.append(&WalRecord::Submit { ticket, req }.encode())
                 .unwrap();
@@ -361,20 +362,22 @@ fn bench_durability(c: &mut Criterion) {
     let snapshot = SnapshotRec {
         seq: 1,
         wal_frames: 2_000,
-        now: 1_234.5,
+        now: Seconds(1_234.5),
         next_ticket: 1_000,
-        cache_generation: 1,
-        shards: vec![eavm_durability::ShardSnapRec {
-            index: 0,
-            clock: 1_234.5,
-            energy: 9.9e6,
+        fleet: Some(FleetDump {
+            clock: Seconds(1_234.5),
+            energy: Joules(9.9e6),
             servers: (0..64u32)
-                .map(|server| eavm_durability::ServerSnapRec {
-                    server,
-                    residents: vec![(0, 2_000.0), (1, 2_500.0), (2, 3_000.0)],
+                .map(|server| {
+                    let residents = WorkloadType::ALL
+                        .iter()
+                        .zip([2_000.0, 2_500.0, 3_000.0])
+                        .map(|(&ty, finish)| (ty, Seconds(finish)))
+                        .collect();
+                    (ServerId(server), residents)
                 })
                 .collect(),
-        }],
+        }),
         parked: vec![],
         counters: vec![("submitted".into(), 1_000)],
     };

@@ -40,13 +40,11 @@ pub mod record;
 pub mod recovery;
 pub mod scrub;
 pub mod snapshot;
+pub mod verdict;
 pub mod wal;
 
 pub use crc32::crc32;
-pub use record::{
-    shed_reason_name, MoveRec, PlacementRec, ReqRec, ServerSnapRec, ShardSnapRec, SnapshotRec,
-    WalRecord,
-};
+pub use record::{FleetDump, SnapshotRec, WalRecord};
 pub use recovery::{recover_dir, recover_dir_with, wal_path, RecoveredState, WAL_FILE};
 pub use scrub::{scrub_dir, scrub_dir_with, ScrubReport};
 pub use snapshot::{
@@ -54,4 +52,5 @@ pub use snapshot::{
     read_snapshot_with, snapshot_name, sweep_tmp_files, sweep_tmp_files_with, write_snapshot,
     write_snapshot_with, QUARANTINE_SUFFIX, SNAPSHOT_MAGIC,
 };
+pub use verdict::{verdict_line, ShedReason, Verdict};
 pub use wal::{read_frames, read_frames_with, Wal, FRAME_HEADER, MAX_FRAME_LEN, WAL_MAGIC};

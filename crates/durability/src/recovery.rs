@@ -17,6 +17,7 @@ use eavm_types::EavmError;
 
 use crate::record::{SnapshotRec, WalRecord};
 use crate::snapshot::{list_snapshots_with, read_snapshot_with, sweep_tmp_files_with};
+use crate::verdict::verdict_line;
 use crate::wal::read_frames_with;
 
 /// File name of the WAL inside a journal directory.
@@ -62,7 +63,14 @@ impl RecoveredState {
     pub fn verdict_lines(&self) -> Vec<(u64, String)> {
         self.records
             .iter()
-            .filter_map(|r| Some((r.ticket()?, r.verdict_line()?)))
+            .filter_map(|r| match r {
+                WalRecord::Verdict { ticket, verdict } => {
+                    Some((*ticket, verdict_line(*ticket, verdict)))
+                }
+                WalRecord::Submit { .. } | WalRecord::Clock { .. } | WalRecord::Migrate { .. } => {
+                    None
+                }
+            })
             .collect()
     }
 }
@@ -126,7 +134,6 @@ pub fn recover_dir_with(storage: &dyn Storage, dir: &Path) -> Result<RecoveredSt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::ReqRec;
     use crate::snapshot::write_snapshot;
     use crate::wal::Wal;
 
@@ -140,13 +147,13 @@ mod tests {
     fn submit(ticket: u64) -> WalRecord {
         WalRecord::Submit {
             ticket,
-            req: ReqRec {
-                id: ticket as u32,
-                submit: 0.0,
-                workload: 0,
+            req: eavm_swf::VmRequest {
+                id: eavm_types::JobId(ticket as u32),
+                submit: eavm_types::Seconds(0.0),
+                workload: eavm_types::WorkloadType::Cpu,
                 vm_count: 1,
-                deadline: 100.0,
-                priority: 1,
+                deadline: eavm_types::Seconds(100.0),
+                priority: eavm_swf::Priority::Standard,
             },
         }
     }
@@ -155,10 +162,9 @@ mod tests {
         SnapshotRec {
             seq,
             wal_frames,
-            now: 0.0,
+            now: eavm_types::Seconds(0.0),
             next_ticket: wal_frames,
-            cache_generation: seq,
-            shards: vec![],
+            fleet: None,
             parked: vec![],
             counters: vec![],
         }
@@ -188,7 +194,10 @@ mod tests {
         assert_eq!(state.snapshots_loaded, 1);
         assert_eq!(state.tail_start, 4);
         assert_eq!(state.tail().len(), 2);
-        assert_eq!(state.tail()[0].ticket(), Some(4));
+        assert!(matches!(
+            state.tail()[0],
+            WalRecord::Submit { ticket: 4, .. }
+        ));
     }
 
     #[test]

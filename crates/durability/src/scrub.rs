@@ -200,7 +200,6 @@ pub fn scrub_dir_with(storage: &dyn Storage, dir: &Path) -> Result<ScrubReport, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::ReqRec;
     use crate::recovery::recover_dir;
     use crate::snapshot::{snapshot_name, write_snapshot};
     use crate::wal::Wal;
@@ -215,13 +214,13 @@ mod tests {
     fn submit(ticket: u64) -> WalRecord {
         WalRecord::Submit {
             ticket,
-            req: ReqRec {
-                id: ticket as u32,
-                submit: 0.0,
-                workload: 0,
+            req: eavm_swf::VmRequest {
+                id: eavm_types::JobId(ticket as u32),
+                submit: eavm_types::Seconds(0.0),
+                workload: eavm_types::WorkloadType::Cpu,
                 vm_count: 1,
-                deadline: 100.0,
-                priority: 1,
+                deadline: eavm_types::Seconds(100.0),
+                priority: eavm_swf::Priority::Standard,
             },
         }
     }
@@ -230,10 +229,9 @@ mod tests {
         SnapshotRec {
             seq,
             wal_frames,
-            now: 0.0,
+            now: eavm_types::Seconds(0.0),
             next_ticket: wal_frames,
-            cache_generation: seq,
-            shards: vec![],
+            fleet: None,
             parked: vec![],
             counters: vec![],
         }

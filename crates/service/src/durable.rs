@@ -1,16 +1,12 @@
-//! Durability wiring: the bridge between the service's live types and
-//! `eavm-durability`'s primitive WAL/snapshot records.
+//! Durability wiring: the admission loop's handle on the write-ahead
+//! log.
 //!
-//! Two responsibilities live here:
-//!
-//! * `Journal` — the admission loop's handle on the write-ahead log:
-//!   journal-before-ack appends, checkpoint cadence, snapshot writes,
-//!   and the injected [`CrashSchedule`] that aborts the process after a
-//!   chosen number of events became durable.
-//! * Type conversions — `VmRequest`/`Placement`/[`Verdict`] to and from
-//!   the primitive records, including [`verdict_line`], the *single*
-//!   rendering both live services and WAL replays use (which is what
-//!   makes "verdict-log byte equality" a meaningful acceptance test).
+//! `Journal` does journal-before-ack appends, the checkpoint cadence,
+//! snapshot writes, and the injected [`CrashSchedule`] that aborts the
+//! process after a chosen number of events became durable. The records
+//! themselves carry the service's own types (`eavm-durability` owns
+//! their wire format), and [`verdict_line`] — re-exported from there —
+//! is the single rendering both live services and WAL replays use.
 //!
 //! Recovery itself needs no code of its own here: the admission loop
 //! applies each recovered WAL frame through the same `Admission::apply`
@@ -18,20 +14,15 @@
 
 use std::path::PathBuf;
 
-use eavm_core::Placement;
+pub use eavm_durability::verdict_line;
 use eavm_durability::{
-    prune_snapshots_with, sweep_tmp_files_with, wal_path, write_snapshot_with, PlacementRec,
-    RecoveredState, ReqRec, ServerSnapRec, ShardSnapRec, SnapshotRec, Wal, WalRecord,
+    prune_snapshots_with, sweep_tmp_files_with, wal_path, write_snapshot_with, RecoveredState,
+    SnapshotRec, Wal, WalRecord,
 };
 use eavm_faults::CrashSchedule;
-use eavm_overload::Priority;
 use eavm_storage::{FaultyStorage, OsStorage, Storage, StorageFaultConfig, StorageStats};
-use eavm_swf::VmRequest;
 use eavm_telemetry::{Counter, Telemetry};
-use eavm_types::{EavmError, JobId, Joules, MixVector, Seconds, ServerId, WorkloadType};
-
-use crate::fleet::FleetDump;
-use crate::service::Verdict;
+use eavm_types::{EavmError, Seconds};
 
 /// Durability knobs hung off `ServiceConfig`.
 #[derive(Debug, Clone)]
@@ -402,7 +393,6 @@ impl Journal {
     /// snapshots entirely; the WAL alone always suffices to recover.
     pub(crate) fn write_checkpoint(&mut self, mut snap: SnapshotRec) -> Result<(), EavmError> {
         snap.seq = self.next_seq;
-        snap.cache_generation = self.next_seq;
         snap.wal_frames = self.wal.frames();
         let written = self.wal.sync().and_then(|()| {
             write_snapshot_with(self.storage.as_ref(), &self.dir, snap.seq, &snap.encode())
@@ -442,138 +432,6 @@ impl Journal {
     pub(crate) fn sync(&mut self) -> Result<(), EavmError> {
         self.wal.sync()
     }
-}
-
-// ---------------------------------------------------------------------
-// Type conversions.
-
-pub(crate) fn req_to_rec(request: &VmRequest) -> ReqRec {
-    ReqRec {
-        id: request.id.index() as u32,
-        submit: request.submit.0,
-        workload: request.workload.index() as u8,
-        vm_count: request.vm_count,
-        deadline: request.deadline.0,
-        priority: request.priority.index() as u8,
-    }
-}
-
-pub(crate) fn rec_to_req(rec: &ReqRec) -> VmRequest {
-    VmRequest {
-        id: JobId::new(rec.id),
-        submit: Seconds(rec.submit),
-        workload: WorkloadType::from_index(rec.workload as usize % WorkloadType::ALL.len()),
-        vm_count: rec.vm_count,
-        deadline: Seconds(rec.deadline),
-        priority: Priority::from_index(rec.priority as usize),
-    }
-}
-
-pub(crate) fn placements_to_recs(placements: &[Placement]) -> Vec<PlacementRec> {
-    placements
-        .iter()
-        .map(|p| PlacementRec {
-            server: p.server.index() as u32,
-            cpu: p.add[WorkloadType::Cpu],
-            mem: p.add[WorkloadType::Mem],
-            io: p.add[WorkloadType::Io],
-        })
-        .collect()
-}
-
-pub(crate) fn rec_to_placement(rec: &PlacementRec) -> Placement {
-    Placement {
-        server: ServerId::from(rec.server as usize),
-        add: MixVector::new(rec.cpu, rec.mem, rec.io),
-    }
-}
-
-/// Map a verdict to its WAL record.
-pub(crate) fn verdict_to_record(ticket: u64, verdict: &Verdict) -> WalRecord {
-    match verdict {
-        Verdict::Admitted { shard, placements } => WalRecord::Admitted {
-            ticket,
-            shard: *shard as u32,
-            placements: placements_to_recs(placements),
-        },
-        Verdict::AdmittedCrossShard { shards, placements } => WalRecord::AdmittedCrossShard {
-            ticket,
-            shards: shards.iter().map(|&s| s as u32).collect(),
-            placements: placements_to_recs(placements),
-        },
-        Verdict::Queued { depth } => WalRecord::Queued {
-            ticket,
-            depth: *depth as u32,
-        },
-        Verdict::Requeued { shard } => WalRecord::Requeued {
-            ticket,
-            shard: *shard as u32,
-        },
-        Verdict::Shed { reason } => WalRecord::Shed {
-            ticket,
-            reason: reason.index(),
-        },
-    }
-}
-
-/// The canonical verdict-log line for a live verdict. WAL replays
-/// render through the identical `WalRecord::verdict_line`, so a
-/// recovered run's combined log can be compared byte for byte against
-/// an uncrashed control.
-pub fn verdict_line(ticket: u64, verdict: &Verdict) -> String {
-    verdict_to_record(ticket, verdict)
-        .verdict_line()
-        .expect("every verdict maps to a line")
-}
-
-/// The fleet's checkpoint record: one `ShardSnapRec` at index 0.
-pub(crate) fn dump_to_snap(dump: &FleetDump) -> ShardSnapRec {
-    ShardSnapRec {
-        index: 0,
-        clock: dump.clock.0,
-        energy: dump.energy.0,
-        servers: dump
-            .servers
-            .iter()
-            .map(|(id, residents)| ServerSnapRec {
-                server: id.index() as u32,
-                residents: residents
-                    .iter()
-                    .map(|&(ty, finish)| (ty.index() as u8, finish.0))
-                    .collect(),
-            })
-            .collect(),
-    }
-}
-
-/// The fleet state a snapshot holds. A snapshot with several shard
-/// records (written by a sharded fleet) merges into one: servers in
-/// record order, the latest clock, the summed energy.
-pub(crate) fn snap_to_dump(shards: &[ShardSnapRec]) -> FleetDump {
-    let mut dump = FleetDump {
-        clock: Seconds(0.0),
-        energy: Joules(0.0),
-        servers: Vec::new(),
-    };
-    for snap in shards {
-        dump.clock = dump.clock.max(Seconds(snap.clock));
-        dump.energy += Joules(snap.energy);
-        dump.servers.extend(snap.servers.iter().map(|srv| {
-            (
-                ServerId::from(srv.server as usize),
-                srv.residents
-                    .iter()
-                    .map(|&(ty, finish)| {
-                        (
-                            WorkloadType::from_index(ty as usize % WorkloadType::ALL.len()),
-                            Seconds(finish),
-                        )
-                    })
-                    .collect(),
-            )
-        }));
-    }
-    dump
 }
 
 // ---------------------------------------------------------------------
@@ -639,10 +497,9 @@ mod tests {
         SnapshotRec {
             seq: 0,
             wal_frames: 0,
-            now: 0.0,
+            now: Seconds(0.0),
             next_ticket: 0,
-            cache_generation: 0,
-            shards: Vec::new(),
+            fleet: None,
             parked: Vec::new(),
             counters: Vec::new(),
         }
@@ -652,7 +509,7 @@ mod tests {
     fn frames_at_next_checkpoint(journal: &mut Journal) -> u64 {
         while !journal.checkpoint_due() {
             journal
-                .append(&WalRecord::Clock { t: 0.0 })
+                .append(&WalRecord::Clock { t: Seconds(0.0) })
                 .expect("append");
         }
         journal.wal.frames()
@@ -669,7 +526,7 @@ mod tests {
         let mut journal = Journal::open(&cfg, None, &instruments).expect("open");
         for _ in 0..3 {
             journal
-                .append(&WalRecord::Clock { t: 0.0 })
+                .append(&WalRecord::Clock { t: Seconds(0.0) })
                 .expect("append");
         }
         drop(journal);
@@ -684,7 +541,7 @@ mod tests {
             .expect("checkpoint");
         for _ in 0..3 {
             journal
-                .append(&WalRecord::Clock { t: 0.0 })
+                .append(&WalRecord::Clock { t: Seconds(0.0) })
                 .expect("append");
         }
         drop(journal);

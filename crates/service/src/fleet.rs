@@ -33,6 +33,7 @@ use eavm_core::{
     AllocationModel, AllocationStrategy, DbModel, OptimizationGoal, Placement, Proactive,
     RequestView, ResilientModel, ServerView,
 };
+use eavm_durability::FleetDump;
 use eavm_faults::LookupFaults;
 use eavm_telemetry::Counter;
 use eavm_types::{EavmError, Joules, MixVector, Seconds, ServerId, WorkloadType};
@@ -58,15 +59,6 @@ struct SrvState {
     id: ServerId,
     mix: MixVector,
     resident: Vec<ResidentVm>,
-}
-
-/// The fleet's placement state serialized for a checkpoint: per-server
-/// resident VMs carrying their exact finish instants.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct FleetDump {
-    pub clock: Seconds,
-    pub energy: Joules,
-    pub servers: Vec<(ServerId, Vec<(WorkloadType, Seconds)>)>,
 }
 
 /// Every server's state plus the allocator that searches it.

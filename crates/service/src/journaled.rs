@@ -13,8 +13,8 @@
 //!
 //! The one verdict acked without a record is the storage-degraded shed:
 //! it is sent precisely because nothing can be journaled any more. It
-//! has its own constructor, [`Journaled::storage_degraded_shed`], which
-//! can build no other verdict.
+//! has its own sender, [`AckTx::send_storage_degraded_shed`], which can
+//! send no other verdict.
 //!
 //! "Journaled" means handed to the WAL, not fsynced: appends reach the
 //! disk at checkpoints, at shutdown and before a scheduled crash.
@@ -41,37 +41,23 @@ impl<T> Deref for Journaled<T> {
     }
 }
 
-impl<A, B> Journaled<(A, B)> {
-    /// Both halves of a journaled pair were journaled together.
-    pub(crate) fn split(self) -> (Journaled<A>, Journaled<B>) {
-        (Journaled(self.0 .0), Journaled(self.0 .1))
-    }
-}
-
-impl Journaled<(u64, Verdict)> {
-    /// The storage-degraded shed for `ticket`: the ticket's final
-    /// answer once the journal can take no more records.
-    pub(crate) fn storage_degraded_shed(ticket: u64) -> Self {
-        Journaled((
-            ticket,
-            Verdict::Shed {
-                reason: ShedReason::StorageDegraded,
-            },
-        ))
+impl<T> Journaled<T> {
+    /// Borrow the journaled value; the borrow is journaled too.
+    pub(crate) fn by_ref(&self) -> Journaled<&T> {
+        Journaled(&self.0)
     }
 }
 
 /// Append `record` to `journal` (if there is one) and, once it is in,
-/// hand `value` back as journaled.
-pub(crate) fn append<T>(
+/// hand it back as journaled.
+pub(crate) fn append(
     journal: Option<&mut Journal>,
-    record: &WalRecord,
-    value: T,
-) -> Result<Journaled<T>, EavmError> {
+    record: WalRecord,
+) -> Result<Journaled<WalRecord>, EavmError> {
     if let Some(journal) = journal {
-        journal.append_resilient(record)?;
+        journal.append_resilient(&record)?;
     }
-    Ok(Journaled(value))
+    Ok(Journaled(record))
 }
 
 /// The WAL tail a recovery replays: every frame in it was read back
@@ -89,9 +75,20 @@ impl AckTx {
         AckTx(tx)
     }
 
-    /// Ack a verdict. A dropped receiver (the client stopped listening)
-    /// is not the admission loop's concern.
-    pub(crate) fn send(&self, verdict: Journaled<(u64, Verdict)>) {
-        let _ = self.0.send(verdict.0);
+    /// Ack the verdict a journaled record carries, moving it out of the
+    /// record; a record without one (submit, clock, sweep) acks
+    /// nothing. A dropped receiver (the client stopped listening) is not
+    /// the admission loop's concern.
+    pub(crate) fn send(&self, record: Journaled<WalRecord>) {
+        if let WalRecord::Verdict { ticket, verdict } = record.0 {
+            let _ = self.0.send((ticket, verdict));
+        }
+    }
+
+    /// The storage-degraded shed for `ticket`: the ticket's final answer
+    /// once the journal can take no more records.
+    pub(crate) fn send_storage_degraded_shed(&self, ticket: u64) {
+        let reason = ShedReason::StorageDegraded;
+        let _ = self.0.send((ticket, Verdict::Shed { reason }));
     }
 }

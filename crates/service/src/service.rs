@@ -34,21 +34,21 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use eavm_benchdb::ModelDatabase;
-use eavm_core::{DbModel, OptimizationGoal, Placement, RequestView, SearchMetrics};
+use eavm_core::{DbModel, OptimizationGoal, RequestView, SearchMetrics};
 use eavm_faults::LookupFaults;
 use eavm_overload::{OverloadConfig, OverloadPlane, OverloadSnapshot};
 use eavm_swf::VmRequest;
 use eavm_telemetry::{Counter, Gauge, Histogram, HistogramSnapshot, Severity, Telemetry};
-use eavm_types::{EavmError, Joules, MixVector, Seconds, ServerId, WorkloadType};
+use eavm_types::{EavmError, Joules, MixVector, Seconds, ServerId};
 
 use eavm_durability::{
-    recover_dir_with, scrub_dir_with, MoveRec, RecoveredState, ScrubReport, SnapshotRec, WalRecord,
+    recover_dir_with, scrub_dir_with, RecoveredState, ScrubReport, SnapshotRec, WalRecord,
 };
+pub use eavm_durability::{ShedReason, Verdict};
 use eavm_migrate::{plan_moves, ConsolidationConfig, HostLoad, Hysteresis, Move, MovePlan};
 
 use crate::durable::{
-    dump_to_snap, make_storage, rec_to_placement, rec_to_req, req_to_rec, snap_to_dump,
-    verdict_to_record, DurInstruments, DurabilityConfig, DurabilityStats, Journal, RecoveryReport,
+    make_storage, DurInstruments, DurabilityConfig, DurabilityStats, Journal, RecoveryReport,
 };
 use crate::fleet::{build_strategy, Fleet};
 use crate::journaled::{self, AckTx, Journaled};
@@ -154,127 +154,6 @@ impl ServiceConfig {
     pub fn with_lookup_faults(mut self, faults: LookupFaults) -> Self {
         self.lookup_faults = faults;
         self
-    }
-}
-
-/// Outcome of one submitted request, tagged by ticket on the verdict
-/// stream. A `Queued` verdict is followed by a second verdict when the
-/// parked request is later placed or shed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Verdict {
-    /// Placed on arrival. `shard` is always 0 (the field keeps the
-    /// journal and verdict-log format).
-    Admitted {
-        /// Always 0.
-        shard: usize,
-        /// The committed placements.
-        placements: Vec<Placement>,
-    },
-    /// Placed after waiting: from the parked wait queue, or on arrival
-    /// once the clock sync that follows a failed search freed capacity.
-    /// `shards` is always `[0]` (the field keeps the journal and
-    /// verdict-log format).
-    AdmittedCrossShard {
-        /// Always `[0]`.
-        shards: Vec<usize>,
-        /// The committed placements.
-        placements: Vec<Placement>,
-    },
-    /// Fleet-wide infeasible right now; parked at this wait-queue depth.
-    Queued {
-        /// Position in the wait queue (1 = head).
-        depth: usize,
-    },
-    /// Never emitted. Kept only as a journal-format tag, so journals
-    /// that hold it still decode and replay.
-    Requeued {
-        /// The shard the journal names.
-        shard: usize,
-    },
-    /// Dropped; see the reason.
-    Shed {
-        /// Why the request was dropped.
-        reason: ShedReason,
-    },
-}
-
-/// Why a request was shed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShedReason {
-    /// `try_submit` found the admission channel full.
-    AdmissionFull,
-    /// The parked wait queue was full.
-    WaitQueueFull,
-    /// Infeasible even on an otherwise empty fleet (drain gave up).
-    Unplaceable,
-    /// Never emitted. Kept only as a journal-format tag, so journals
-    /// that hold it still decode and replay.
-    ShardFailure,
-    /// The journal could not make the decision durable (append retries
-    /// exhausted — disk full, torn writes): the service is read-only
-    /// degraded and sheds rather than acking what recovery could never
-    /// reproduce.
-    StorageDegraded,
-    /// The request sat in the parked wait queue past the overload
-    /// plane's CoDel target for a full interval: stale work is shed so
-    /// it cannot starve fresh work (requires `ServiceConfig::overload`).
-    QueueAged,
-    /// The brownout ladder refused the request's priority class at the
-    /// current pressure rung (requires `ServiceConfig::overload`).
-    /// `Interactive` requests are never shed for this reason.
-    BrownoutClass,
-}
-
-impl ShedReason {
-    /// Every reason, in wire-index order. Adding a variant without
-    /// extending this array (and the exhaustive matches below) is a
-    /// compile error — the WAL codec can never silently drop a reason.
-    pub const ALL: [ShedReason; 7] = [
-        ShedReason::AdmissionFull,
-        ShedReason::WaitQueueFull,
-        ShedReason::Unplaceable,
-        ShedReason::ShardFailure,
-        ShedReason::StorageDegraded,
-        ShedReason::QueueAged,
-        ShedReason::BrownoutClass,
-    ];
-
-    /// Stable wire index, mirrored by `eavm-durability`'s
-    /// `shed_reason_name` table. Exhaustive on purpose: a new variant
-    /// fails to compile here instead of round-tripping as garbage.
-    pub fn index(self) -> u8 {
-        match self {
-            ShedReason::AdmissionFull => 0,
-            ShedReason::WaitQueueFull => 1,
-            ShedReason::Unplaceable => 2,
-            ShedReason::ShardFailure => 3,
-            ShedReason::StorageDegraded => 4,
-            ShedReason::QueueAged => 5,
-            ShedReason::BrownoutClass => 6,
-        }
-    }
-
-    /// Inverse of [`ShedReason::index`]; `None` for indices no variant
-    /// claims (a corrupt or future frame).
-    pub fn from_index(index: u8) -> Option<ShedReason> {
-        ShedReason::ALL.iter().copied().find(|r| r.index() == index)
-    }
-
-    /// Whether the overload plane's AIMD limiter cuts on this shed.
-    /// Only genuine overload signals cut (a full wait queue, an aged-out
-    /// entry). Brownout sheds must NOT cut: cutting on the ladder's own
-    /// decisions is a positive-feedback death spiral. Read only when a
-    /// journaled shed is applied, so limiter state stays a pure
-    /// function of the journal.
-    pub fn cuts_limits(self) -> bool {
-        match self {
-            ShedReason::WaitQueueFull | ShedReason::QueueAged => true,
-            ShedReason::AdmissionFull
-            | ShedReason::Unplaceable
-            | ShedReason::ShardFailure
-            | ShedReason::StorageDegraded
-            | ShedReason::BrownoutClass => false,
-        }
     }
 }
 
@@ -1004,35 +883,46 @@ impl Admission {
     /// the VMs retired: by a `Clock`, or by an admission's advance to
     /// its submit instant.
     fn apply(&mut self, record: Journaled<&WalRecord>) -> usize {
-        let record: &WalRecord = *record;
         let mut retired = 0;
-        match record {
+        match *record {
             WalRecord::Submit { ticket, req } => {
-                let request = rec_to_req(req);
-                self.now = self.now.max(request.submit);
+                self.now = self.now.max(req.submit);
                 self.ticket_watermark = self.ticket_watermark.max(ticket + 1);
                 self.counters.submitted.inc();
-                self.counters.submitted_class[request.priority.index()].inc();
+                self.counters.submitted_class[req.priority.index()].inc();
                 if let Some(plane) = self.plane.as_mut() {
-                    plane.on_submit(request.submit.0);
+                    plane.on_submit(req.submit.0);
                 }
-                self.meta.insert(*ticket, request);
+                self.meta.insert(*ticket, req.clone());
             }
             WalRecord::Clock { t } => {
-                let t = Seconds(*t);
-                self.now = self.now.max(t);
+                self.now = self.now.max(*t);
                 if let Some(plane) = self.plane.as_mut() {
                     plane.on_clock(t.0);
                 }
-                retired = self.fleet.advance_to(t);
+                retired = self.fleet.advance_to(*t);
             }
-            WalRecord::Admitted {
-                ticket, placements, ..
+            WalRecord::Verdict { ticket, verdict } => {
+                retired = self.apply_verdict(*ticket, verdict)
             }
-            | WalRecord::AdmittedCrossShard {
-                ticket, placements, ..
-            } => {
-                let request = self.meta.remove(ticket);
+            WalRecord::Migrate {
+                epoch,
+                t,
+                stall,
+                moves,
+            } => self.sweep(*epoch, *t, *stall, moves),
+        }
+        self.counters.parked_depth.set(self.parked.len() as i64);
+        retired
+    }
+
+    /// [`Admission::apply`] for a journaled verdict.
+    fn apply_verdict(&mut self, ticket: u64, verdict: &Verdict) -> usize {
+        let mut retired = 0;
+        match verdict {
+            Verdict::Admitted { placements, .. }
+            | Verdict::AdmittedCrossShard { placements, .. } => {
+                let request = self.meta.remove(&ticket);
                 if let Some(request) = &request {
                     // The search ran on a fleet advanced to the submit
                     // instant. That advance is not journaled: live it
@@ -1040,13 +930,13 @@ impl Admission {
                     // re-derives it here.
                     retired = self.fleet.advance_to(request.submit);
                 }
-                self.fleet.commit(placements.iter().map(rec_to_placement));
-                if matches!(record, WalRecord::Admitted { .. }) {
+                self.fleet.commit(placements.iter().copied());
+                if matches!(verdict, Verdict::Admitted { .. }) {
                     self.counters.admitted_local.inc();
                 } else {
                     self.counters.admitted_cross_shard.inc();
                 }
-                if self.unpark(*ticket) {
+                if self.unpark(ticket) {
                     self.counters.admitted_after_wait.inc();
                 }
                 if let Some(request) = request {
@@ -1056,37 +946,28 @@ impl Admission {
                     }
                 }
             }
-            WalRecord::Queued { ticket, .. } => {
-                if let Some(request) = self.meta.get(ticket) {
+            Verdict::Queued { .. } => {
+                if let Some(request) = self.meta.get(&ticket) {
                     self.parked.push_back(Parked {
-                        ticket: *ticket,
+                        ticket,
                         request: request.clone(),
                         parked_at: self.now,
                     });
                 }
             }
             // An interim verdict this version never writes.
-            WalRecord::Requeued { .. } => {}
-            WalRecord::Shed { ticket, reason } => {
-                self.meta.remove(ticket);
-                self.unpark(*ticket);
-                if let Some(reason) = ShedReason::from_index(*reason) {
-                    if let Some(counter) = self.counters.shed(reason) {
-                        counter.inc();
-                    }
-                    if let Some(plane) = self.plane.as_mut() {
-                        plane.on_shed(reason.cuts_limits());
-                    }
+            Verdict::Requeued { .. } => {}
+            Verdict::Shed { reason } => {
+                self.meta.remove(&ticket);
+                self.unpark(ticket);
+                if let Some(counter) = self.counters.shed(*reason) {
+                    counter.inc();
+                }
+                if let Some(plane) = self.plane.as_mut() {
+                    plane.on_shed(reason.cuts_limits());
                 }
             }
-            WalRecord::Migrate {
-                epoch,
-                t,
-                stall,
-                moves,
-            } => self.sweep(*epoch, Seconds(*t), Seconds(*stall), moves),
         }
-        self.counters.parked_depth.set(self.parked.len() as i64);
         retired
     }
 
@@ -1096,18 +977,12 @@ impl Admission {
     /// the planner meant because resident vectors rebuild bit-exact, and
     /// the journaled stall delays its finish instant. A donor counts as
     /// drained when the sweep left it empty.
-    fn sweep(&mut self, epoch: u64, t: Seconds, stall: Seconds, moves: &[MoveRec]) {
+    fn sweep(&mut self, epoch: u64, t: Seconds, stall: Seconds, moves: &[Move]) {
         self.now = self.now.max(t);
         self.hysteresis.begin_sweep();
-        let mut plan = MovePlan::default();
         let mut executed = 0u64;
         let mut donors = BTreeSet::new();
-        for m in moves {
-            let Some(&ty) = WorkloadType::ALL.get(usize::from(m.ty)) else {
-                continue;
-            };
-            let (from, to) = (m.from as usize, m.to as usize);
-            plan.moves.push(Move { from, to, ty });
+        for &Move { from, to, ty } in moves {
             if self
                 .fleet
                 .migrate(ServerId::from(from), ServerId::from(to), ty, stall)
@@ -1116,6 +991,10 @@ impl Admission {
                 donors.insert(from);
             }
         }
+        let plan = MovePlan {
+            moves: moves.to_vec(),
+            ..MovePlan::default()
+        };
         let sweeps = self
             .config
             .consolidation
@@ -1171,10 +1050,7 @@ impl Admission {
             }
             self.pending_sweep = matches!(
                 frame,
-                WalRecord::Admitted { .. }
-                    | WalRecord::AdmittedCrossShard { .. }
-                    | WalRecord::Queued { .. }
-                    | WalRecord::Shed { .. }
+                WalRecord::Verdict { verdict, .. } if !matches!(verdict, Verdict::Requeued { .. })
             );
         }
         RecoveryReport {
@@ -1195,10 +1071,10 @@ impl Admission {
     /// overload-plane scalars instead; they never reach the real
     /// counters, and the next checkpoint re-emits them fresh.
     fn load_snapshot(&mut self, snap: &SnapshotRec) {
-        self.now = Seconds(snap.now);
+        self.now = snap.now;
         self.ticket_watermark = snap.next_ticket;
-        if !snap.shards.is_empty() {
-            self.fleet.load_dump(&snap_to_dump(&snap.shards));
+        if let Some(dump) = &snap.fleet {
+            self.fleet.load_dump(dump);
         }
         let mut cooldowns = Vec::new();
         for (name, value) in &snap.counters {
@@ -1216,13 +1092,12 @@ impl Admission {
             }
         }
         self.hysteresis = Hysteresis::restore(self.fleet.mixes().count(), &cooldowns);
-        for (ticket, rec, parked_at) in &snap.parked {
-            let request = rec_to_req(rec);
+        for (ticket, request, parked_at) in &snap.parked {
             self.meta.insert(*ticket, request.clone());
             self.parked.push_back(Parked {
                 ticket: *ticket,
-                request,
-                parked_at: Seconds(*parked_at),
+                request: request.clone(),
+                parked_at: *parked_at,
             });
         }
         self.counters.parked_depth.set(self.parked.len() as i64);
@@ -1288,17 +1163,16 @@ impl Admission {
         }
     }
 
-    /// Append a record through the journal's resilient path and hand
-    /// `value` back as [`Journaled`]: `Some` when the record is in the
-    /// WAL (or the service journals nothing at all). Exhausted retries
-    /// flip the loop into sticky read-only degradation — once here,
-    /// further calls short-circuit to `None` without hammering the dead
-    /// disk.
-    fn journal_append<T>(&mut self, record: &WalRecord, value: T) -> Option<Journaled<T>> {
+    /// Append a record through the journal's resilient path and hand it
+    /// back as [`Journaled`]: `Some` when the record is in the WAL (or
+    /// the service journals nothing at all). Exhausted retries flip the
+    /// loop into sticky read-only degradation — once here, further calls
+    /// short-circuit to `None` without hammering the dead disk.
+    fn journal_append(&mut self, record: WalRecord) -> Option<Journaled<WalRecord>> {
         if self.storage_degraded {
             return None;
         }
-        match journaled::append(self.journal.as_mut(), record, value) {
+        match journaled::append(self.journal.as_mut(), record) {
             Ok(journaled) => Some(journaled),
             Err(err) => {
                 self.storage_degraded = true;
@@ -1335,12 +1209,10 @@ impl Admission {
         // whose answer may have escaped. A verdict that cannot be made
         // durable must not be acked either — the client instead learns
         // the service degraded, and still gets exactly one answer.
-        let record = verdict_to_record(ticket, &verdict);
-        match self.journal_append(&record, (&record, (ticket, verdict))) {
-            Some(journaled) => {
-                let (record, ack) = journaled.split();
-                self.apply(record);
-                self.verdict_tx.send(ack);
+        match self.journal_append(WalRecord::Verdict { ticket, verdict }) {
+            Some(record) => {
+                self.apply(record.by_ref());
+                self.verdict_tx.send(record);
                 true
             }
             None => {
@@ -1351,8 +1223,7 @@ impl Admission {
                 self.meta.remove(&ticket);
                 self.unpark(ticket);
                 self.counters.parked_depth.set(self.parked.len() as i64);
-                self.verdict_tx
-                    .send(Journaled::storage_degraded_shed(ticket));
+                self.verdict_tx.send_storage_degraded_shed(ticket);
                 false
             }
         }
@@ -1390,11 +1261,11 @@ impl Admission {
         if !resumed {
             let record = WalRecord::Submit {
                 ticket,
-                req: req_to_rec(request),
+                req: request.clone(),
             };
-            match self.journal_append(&record, &record) {
+            match self.journal_append(record) {
                 Some(submit) => {
-                    self.apply(submit);
+                    self.apply(submit.by_ref());
                 }
                 // Counted even when degraded, so conservation holds.
                 None => self.counters.submitted.inc(),
@@ -1505,15 +1376,6 @@ impl Admission {
 
     /// Journal a shed decision (dropped entirely when telemetry is off).
     fn shed_event(&self, ticket: u64, view: &RequestView, reason: ShedReason) {
-        let reason = match reason {
-            ShedReason::AdmissionFull => "admission full",
-            ShedReason::WaitQueueFull => "wait queue full",
-            ShedReason::Unplaceable => "unplaceable",
-            ShedReason::ShardFailure => "shard failure",
-            ShedReason::StorageDegraded => "storage degraded",
-            ShedReason::QueueAged => "queue aged",
-            ShedReason::BrownoutClass => "brownout class",
-        };
         self.config.telemetry.event(
             self.now.0,
             "service",
@@ -1523,7 +1385,7 @@ impl Admission {
                 ("ticket", ticket.to_string()),
                 ("job", view.id.to_string()),
                 ("vms", view.vm_count.to_string()),
-                ("reason", reason.to_string()),
+                ("reason", reason.name().to_string()),
             ],
         );
     }
@@ -1559,22 +1421,14 @@ impl Admission {
         let plan = plan_moves(&hosts, &cfg, &hysteresis, |_, mix| mix.fits_within(&bound));
         let record = WalRecord::Migrate {
             epoch,
-            t: self.now.0,
-            stall: cfg.model.cost().stall.0,
-            moves: plan
-                .moves
-                .iter()
-                .map(|m| MoveRec {
-                    from: m.from as u32,
-                    to: m.to as u32,
-                    ty: m.ty.index() as u8,
-                })
-                .collect(),
+            t: self.now,
+            stall: cfg.model.cost().stall,
+            moves: plan.moves,
         };
         // Journal-before-execute: an unjournaled sweep would be
         // invisible to recovery, so its moves must never touch the
         // fleet.
-        let Some(sweep) = self.journal_append(&record, &record) else {
+        let Some(sweep) = self.journal_append(record) else {
             return;
         };
         let c = &self.counters;
@@ -1582,7 +1436,7 @@ impl Admission {
             c.consolidation_migrations.get(),
             c.consolidation_hosts_drained.get(),
         );
-        self.apply(sweep);
+        self.apply(sweep.by_ref());
         let c = &self.counters;
         let migrations = c.consolidation_migrations.get() - before.0;
         if migrations > 0 {
@@ -1610,18 +1464,16 @@ impl Admission {
             return;
         }
         let snapshot = SnapshotRec {
-            // seq / wal_frames / cache_generation are stamped by the
-            // journal at write time.
+            // seq / wal_frames are stamped by the journal at write time.
             seq: 0,
             wal_frames: 0,
-            cache_generation: 0,
-            now: self.now.0,
+            now: self.now,
             next_ticket: self.ticket_watermark,
-            shards: vec![dump_to_snap(&self.fleet.dump())],
+            fleet: Some(self.fleet.dump()),
             parked: self
                 .parked
                 .iter()
-                .map(|p| (p.ticket, req_to_rec(&p.request), p.parked_at.0))
+                .map(|p| (p.ticket, p.request.clone(), p.parked_at))
                 .collect(),
             counters: {
                 // Nonzero hysteresis cooldowns ride along as reserved
@@ -1665,9 +1517,8 @@ impl Admission {
     fn advance(&mut self, t: Seconds) -> usize {
         // Clock advances are journaled so recovery retires resident VMs
         // at exactly the instants the live run did.
-        let record = WalRecord::Clock { t: t.0 };
-        match self.journal_append(&record, &record) {
-            Some(clock) => self.apply(clock),
+        match self.journal_append(WalRecord::Clock { t }) {
+            Some(clock) => self.apply(clock.by_ref()),
             // Read-only degraded: the clock still moves, so a drain
             // ends, but nothing observes it that replay could not —
             // every later request is shed without a search.
@@ -1823,7 +1674,7 @@ mod tests {
     use super::*;
     use eavm_benchdb::DbBuilder;
     use eavm_overload::Priority;
-    use eavm_types::JobId;
+    use eavm_types::{JobId, WorkloadType};
 
     fn db() -> ModelDatabase {
         DbBuilder::exact().build().expect("db")

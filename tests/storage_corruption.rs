@@ -7,9 +7,10 @@
 use std::path::PathBuf;
 
 use eavm::durability::{
-    recover_dir, scrub_dir, wal_path, write_snapshot, PlacementRec, ReqRec, SnapshotRec, Wal,
+    recover_dir, scrub_dir, wal_path, write_snapshot, ShedReason, SnapshotRec, Verdict, Wal,
     WalRecord,
 };
+use eavm::prelude::*;
 use proptest::prelude::*;
 
 /// One seeded journal: alternating submit/verdict records plus two
@@ -23,32 +24,29 @@ fn build_journal(tag: &str) -> (PathBuf, Vec<(u64, String)>) {
     for ticket in 0..8u64 {
         let submit = WalRecord::Submit {
             ticket,
-            req: ReqRec {
-                id: ticket as u32,
-                submit: ticket as f64,
-                workload: (ticket % 3) as u8,
+            req: VmRequest {
+                id: JobId::new(ticket as u32),
+                submit: Seconds(ticket as f64),
+                workload: WorkloadType::from_index((ticket % 3) as usize),
                 vm_count: 1 + (ticket % 4) as u32,
-                deadline: 3600.0,
-                priority: (ticket % 3) as u8,
+                deadline: Seconds(3600.0),
+                priority: Priority::from_index((ticket % 3) as usize),
             },
         };
         let verdict = if ticket % 2 == 0 {
-            WalRecord::Admitted {
-                ticket,
-                shard: (ticket % 2) as u32,
-                placements: vec![PlacementRec {
-                    server: ticket as u32,
-                    cpu: 1,
-                    mem: 0,
-                    io: 0,
+            Verdict::Admitted {
+                shard: (ticket % 2) as usize,
+                placements: vec![Placement {
+                    server: ServerId::from(ticket as usize),
+                    add: MixVector::new(1, 0, 0),
                 }],
             }
         } else {
-            WalRecord::Shed {
-                ticket,
-                reason: (ticket % 4) as u8,
+            Verdict::Shed {
+                reason: ShedReason::ALL[(ticket % 4) as usize],
             }
         };
+        let verdict = WalRecord::Verdict { ticket, verdict };
         wal.append(&submit.encode()).unwrap();
         wal.append(&verdict.encode()).unwrap();
         frames += 2;
@@ -56,10 +54,9 @@ fn build_journal(tag: &str) -> (PathBuf, Vec<(u64, String)>) {
             let snap = SnapshotRec {
                 seq: ticket,
                 wal_frames: frames,
-                now: ticket as f64,
+                now: Seconds(ticket as f64),
                 next_ticket: ticket + 1,
-                cache_generation: ticket,
-                shards: vec![],
+                fleet: None,
                 parked: vec![],
                 counters: vec![],
             };
