@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use eavm_benchdb::{DbBuilder, ModelDatabase};
 use eavm_core::{
-    AllocationStrategy, AnalyticModel, BestFit, DbModel, FirstFit, OptimizationGoal, Proactive,
+    baseline_strategy, AllocationStrategy, AnalyticModel, DbModel, OptimizationGoal, Proactive,
 };
 use eavm_faults::{CrashSchedule, FaultPlan};
 use eavm_migrate::ConsolidationConfig;
@@ -191,31 +191,23 @@ pub fn make_strategy(
     deadlines: [Seconds; 3],
     margin: f64,
 ) -> Result<Box<dyn AllocationStrategy>, String> {
-    let cpu_slots = 4;
-    Ok(match name {
-        "ff" => Box::new(FirstFit::ff(cpu_slots)),
-        "ff2" => Box::new(FirstFit::with_multiplex(cpu_slots, 2)),
-        "ff3" => Box::new(FirstFit::with_multiplex(cpu_slots, 3)),
-        "bf" => Box::new(BestFit::bf(cpu_slots)),
-        "bf2" => Box::new(BestFit::with_multiplex(cpu_slots, 2)),
-        "bf3" => Box::new(BestFit::with_multiplex(cpu_slots, 3)),
-        other => {
-            let alpha = match other {
-                "pa0" => 0.0,
-                "pa05" => 0.5,
-                "pa1" => 1.0,
-                _ => other
-                    .strip_prefix("pa:")
-                    .ok_or_else(|| format!("unknown strategy {other:?}"))?
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad alpha in {other:?}: {e}"))?,
-            };
-            let goal = OptimizationGoal::new(alpha).map_err(|e| e.to_string())?;
-            Box::new(
-                Proactive::new(DbModel::new(db.clone()), goal, deadlines).with_qos_margin(margin),
-            )
-        }
-    })
+    if let Some(baseline) = baseline_strategy(name, 4) {
+        return Ok(baseline);
+    }
+    let alpha = match name {
+        "pa0" => 0.0,
+        "pa05" => 0.5,
+        "pa1" => 1.0,
+        _ => name
+            .strip_prefix("pa:")
+            .ok_or_else(|| format!("unknown strategy {name:?}"))?
+            .parse::<f64>()
+            .map_err(|e| format!("bad alpha in {name:?}: {e}"))?,
+    };
+    let goal = OptimizationGoal::new(alpha).map_err(|e| e.to_string())?;
+    Ok(Box::new(
+        Proactive::new(DbModel::new(db.clone()), goal, deadlines).with_qos_margin(margin),
+    ))
 }
 
 /// Shared front matter of `simulate` / `serve` / `replay-online`: load

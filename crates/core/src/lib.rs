@@ -52,3 +52,19 @@ pub use model::{AllocationModel, AnalyticModel, DbModel, MixEstimate};
 pub use proactive::{PartitionCandidate, Proactive, SearchCaps, SearchMetrics};
 pub use resilient::ResilientModel;
 pub use strategy::{AllocationStrategy, Placement, RequestView, ServerView};
+
+/// The CPU-slot-counting baseline a short name selects, over servers
+/// of `cpu_slots` CPU slots: `ff`, `ff2`, `ff3` (first fit at 1–3 VMs
+/// per CPU) and `bf`, `bf2`, `bf3` (best fit). `None` for any other
+/// name.
+pub fn baseline_strategy(name: &str, cpu_slots: u32) -> Option<Box<dyn AllocationStrategy>> {
+    Some(match name {
+        "ff" => Box::new(FirstFit::ff(cpu_slots)),
+        "ff2" => Box::new(FirstFit::with_multiplex(cpu_slots, 2)),
+        "ff3" => Box::new(FirstFit::with_multiplex(cpu_slots, 3)),
+        "bf" => Box::new(BestFit::bf(cpu_slots)),
+        "bf2" => Box::new(BestFit::with_multiplex(cpu_slots, 2)),
+        "bf3" => Box::new(BestFit::with_multiplex(cpu_slots, 3)),
+        _ => return None,
+    })
+}

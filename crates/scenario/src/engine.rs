@@ -23,7 +23,7 @@
 
 use eavm_benchdb::ModelDatabase;
 use eavm_core::{
-    AllocationStrategy, AnalyticModel, BestFit, DbModel, FirstFit, OptimizationGoal, Placement,
+    baseline_strategy, AllocationStrategy, AnalyticModel, DbModel, OptimizationGoal, Placement,
     Proactive, RequestView, ServerView,
 };
 use eavm_migrate::ConsolidationConfig;
@@ -136,17 +136,10 @@ fn build_strategy(
     db: &ModelDatabase,
     deadlines: [Seconds; 3],
 ) -> Result<Box<dyn AllocationStrategy>, String> {
-    let cpu_slots = 4;
     Ok(match policy {
-        Policy::Named(name) => match name.as_str() {
-            "ff" => Box::new(FirstFit::ff(cpu_slots)),
-            "ff2" => Box::new(FirstFit::with_multiplex(cpu_slots, 2)),
-            "ff3" => Box::new(FirstFit::with_multiplex(cpu_slots, 3)),
-            "bf" => Box::new(BestFit::bf(cpu_slots)),
-            "bf2" => Box::new(BestFit::with_multiplex(cpu_slots, 2)),
-            "bf3" => Box::new(BestFit::with_multiplex(cpu_slots, 3)),
-            other => return Err(format!("unknown strategy {other:?}")),
-        },
+        Policy::Named(name) => {
+            baseline_strategy(name, 4).ok_or_else(|| format!("unknown strategy {name:?}"))?
+        }
         Policy::Proactive { alpha } => {
             let goal = OptimizationGoal::new(*alpha).map_err(|e| e.to_string())?;
             Box::new(

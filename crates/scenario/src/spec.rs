@@ -11,6 +11,8 @@
 
 use std::fmt;
 
+use eavm_core::baseline_strategy;
+
 /// Which backend drives the compiled scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
@@ -300,8 +302,7 @@ impl ScenarioSpec {
                 }
             }
             Policy::Named(name) => {
-                const NAMED: [&str; 6] = ["ff", "ff2", "ff3", "bf", "bf2", "bf3"];
-                if !NAMED.contains(&name.as_str()) {
+                if baseline_strategy(name, 4).is_none() {
                     return Err(format!(
                         "unknown strategy {name:?} (ff|ff2|ff3|bf|bf2|bf3, or alpha = F)"
                     ));
