@@ -416,6 +416,7 @@ impl AllocService {
             meta: BTreeMap::new(),
             plane,
             now: Seconds(0.0),
+            journal_clock: Seconds(0.0),
             journal: None,
             ticket_watermark: 0,
             pending_sweep: false,
@@ -790,6 +791,12 @@ struct Admission {
     /// [`Admission::apply`], so it is a pure function of the journal.
     plane: Option<OverloadPlane>,
     now: Seconds,
+    /// The instant the journal has advanced the fleet to: the latest
+    /// applied `Clock`, or submit instant an applied admission advanced
+    /// to (a loaded snapshot's fleet clock to begin with). A `Clock` not
+    /// past it retires nothing and cannot move the overload plane, so
+    /// [`Admission::advance`] journals none.
+    journal_clock: Seconds,
     counters: Instruments,
     /// Write-ahead journal; `None` without durability. Every admission
     /// event is appended *before* its verdict is acked.
@@ -897,6 +904,7 @@ impl Admission {
             }
             WalRecord::Clock { t } => {
                 self.now = self.now.max(*t);
+                self.journal_clock = self.journal_clock.max(*t);
                 if let Some(plane) = self.plane.as_mut() {
                     plane.on_clock(t.0);
                 }
@@ -928,6 +936,7 @@ impl Admission {
                     // instant. That advance is not journaled: live it
                     // already happened and this retires nothing; replay
                     // re-derives it here.
+                    self.journal_clock = self.journal_clock.max(request.submit);
                     retired = self.fleet.advance_to(request.submit);
                 }
                 self.fleet.commit(placements.iter().copied());
@@ -1074,6 +1083,7 @@ impl Admission {
         self.now = snap.now;
         self.ticket_watermark = snap.next_ticket;
         if let Some(dump) = &snap.fleet {
+            self.journal_clock = dump.clock;
             self.fleet.load_dump(dump);
         }
         let mut cooldowns = Vec::new();
@@ -1513,8 +1523,14 @@ impl Admission {
     }
 
     /// Advance the virtual clock to `t`, journaled, retiring finished
-    /// VMs. Returns the number retired.
+    /// VMs. Returns the number retired. A `t` the journal has already
+    /// advanced the fleet to is a no-op: the frame would retire nothing,
+    /// and journaling it anyway is how a re-driven request used to
+    /// append a `Clock` its crashed run had already written.
     fn advance(&mut self, t: Seconds) -> usize {
+        if t.0 <= self.journal_clock.0 {
+            return 0;
+        }
         // Clock advances are journaled so recovery retires resident VMs
         // at exactly the instants the live run did.
         match self.journal_append(WalRecord::Clock { t }) {
@@ -1924,9 +1940,11 @@ mod tests {
             service.submit(request(i, 0.0, WorkloadType::Cpu, 1));
         }
         // Pump one `Clock` frame per advance until the backoff (2, 4,
-        // 8, 16 frames between attempts) exhausts the retry budget.
-        for _ in 0..16 {
-            service.advance_to(Seconds(0.0)).expect("advance");
+        // 8, 16 frames between attempts) exhausts the retry budget. Each
+        // advance must move the clock to journal a frame; deadlines are
+        // far out, so nothing retires.
+        for t in 1..=16 {
+            service.advance_to(Seconds(f64::from(t))).expect("advance");
         }
         let stats = service.stats().expect("stats");
         let disabled = service

@@ -180,6 +180,7 @@ fn recovery_is_bit_exact_at_every_wal_truncation_point() {
     // the truncated WAL must be skipped, older ones used), recover,
     // re-drive what the crashed process never got to, and demand a
     // byte-identical journal.
+    let mut wal_diverged = Vec::new();
     for k in 0..=payloads.len() {
         let dir = tmp(&format!("cut{k}"));
         for snap in &snapshots {
@@ -213,8 +214,16 @@ fn recovery_is_bit_exact_at_every_wal_truncation_point() {
             "counters or final state diverged after crash at WAL frame {k}/{}",
             payloads.len()
         );
+        if read_frames(&wal_path(&dir)).expect("recovered wal").0 != payloads {
+            wal_diverged.push(k);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
+    assert!(
+        wal_diverged.is_empty(),
+        "recovered WAL differs from the control's after crashes at frames {wal_diverged:?} of {}",
+        payloads.len()
+    );
 }
 
 /// Like [`config`] but with consolidation sweeps enabled: every 100
@@ -294,6 +303,7 @@ fn recovery_is_bit_exact_across_consolidation_sweeps() {
         })
         .collect();
 
+    let mut wal_diverged = Vec::new();
     for k in 0..=payloads.len() {
         let dir = tmp(&format!("mig-cut{k}"));
         for snap in &snapshots {
@@ -342,8 +352,16 @@ fn recovery_is_bit_exact_across_consolidation_sweeps() {
             "counters or final state diverged after crash at WAL frame {k}/{}",
             payloads.len()
         );
+        if read_frames(&wal_path(&dir)).expect("recovered wal").0 != payloads {
+            wal_diverged.push(k);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
+    assert!(
+        wal_diverged.is_empty(),
+        "recovered WAL differs from the control's after crashes at frames {wal_diverged:?} of {}",
+        payloads.len()
+    );
     let _ = std::fs::remove_dir_all(&ctrl);
 }
 
