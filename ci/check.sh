@@ -115,6 +115,10 @@ echo "==> cargo doc --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "==> chaos smoke (deterministic fault injection)"
+# Output checks read captured output through a here-string, not
+# `echo | grep -q`: under `pipefail` that pipe fails whenever grep
+# matches and exits before echo has written its last line (SIGPIPE),
+# which a loaded machine makes happen.
 # A short replay with a nonzero fault rate must exit 0 and conserve VM
 # placements (trace + restarts).
 CHAOS_DIR="$(mktemp -d)"
@@ -125,9 +129,9 @@ CLI=(cargo run --release -q -p eavm-cli --)
 REPLAY_OUT="$("${CLI[@]}" replay-online --db-dir "$CHAOS_DIR/db" \
     --trace "$CHAOS_DIR/t.swf" --servers 6 --vms 200 \
     --fault-seed 42 --fault-rate 1.0)"
-echo "$REPLAY_OUT" | grep -q "faults: seed=42" \
+grep -q "faults: seed=42" <<< "$REPLAY_OUT" \
     || { echo "chaos smoke: no faults line"; echo "$REPLAY_OUT"; exit 1; }
-echo "$REPLAY_OUT" | grep -q "conservation: ok" \
+grep -q "conservation: ok" <<< "$REPLAY_OUT" \
     || { echo "chaos smoke: conservation violated"; echo "$REPLAY_OUT"; exit 1; }
 
 echo "==> crash-loop smoke (durable service recovery)"
@@ -187,7 +191,7 @@ CONS_OUT="$("${CLI[@]}" serve --db-dir "$CHAOS_DIR/db" \
     --trace "$CHAOS_DIR/t.swf" --servers 8 --vms 200 \
     --journal-dir "$CHAOS_DIR/cons-ctrl" --checkpoint-every 16 \
     "${CONS_FLAGS[@]}" --verdicts-out "$CHAOS_DIR/cons-ctrl.log")"
-echo "$CONS_OUT" | grep -q "consolidation: sweeps=" \
+grep -q "consolidation: sweeps=" <<< "$CONS_OUT" \
     || { echo "consolidation drill: no sweeps ran"; echo "$CONS_OUT"; exit 1; }
 "${CLI[@]}" serve --db-dir "$CHAOS_DIR/db" \
     --trace "$CHAOS_DIR/t.swf" --servers 8 --vms 200 \
@@ -263,9 +267,9 @@ ENOSPC_OUT="$("${CLI[@]}" serve --db-dir "$CHAOS_DIR/db" \
     --trace "$CHAOS_DIR/t.swf" --servers 6 --vms 200 \
     --journal-dir "$CORR_DIR/enospc" --checkpoint-every 16 \
     --storage-enospc-after 6000 --storage-fault-seed 3)"
-echo "$ENOSPC_OUT" | grep -q "conservation: ok" \
+grep -q "conservation: ok" <<< "$ENOSPC_OUT" \
     || { echo "corruption drill: ENOSPC run lost verdicts"; echo "$ENOSPC_OUT"; exit 1; }
-echo "$ENOSPC_OUT" | grep -q "storage: faults-injected=" \
+grep -q "storage: faults-injected=" <<< "$ENOSPC_OUT" \
     || { echo "corruption drill: ENOSPC run injected no faults"; echo "$ENOSPC_OUT"; exit 1; }
 "${RECOVER[@]}" --journal-dir "$CORR_DIR/enospc" --scrub \
     --verdicts-out "$CORR_DIR/enospc.log" > /dev/null
@@ -304,7 +308,7 @@ OVL_OUT="$("${CLI[@]}" serve --db-dir "$CHAOS_DIR/db" \
     --trace "$OVL_DIR/crowd.swf" --servers 4 --vms 200 \
     --journal-dir "$OVL_DIR/ctrl" --checkpoint-every 16 \
     "${OVL_FLAGS[@]}" --verdicts-out "$OVL_DIR/ctrl.log")"
-echo "$OVL_OUT" | grep -q "conservation: ok" \
+grep -q "conservation: ok" <<< "$OVL_OUT" \
     || { echo "overload drill: verdicts not conserved"; echo "$OVL_OUT"; exit 1; }
 echo "$OVL_OUT" | awk '
     /^shed:/ {

@@ -15,12 +15,17 @@
 //! frames, and hands the service enough state to resume with verdicts
 //! byte-identical to the run that never crashed.
 //!
-//! The crate knows nothing about the service: records carry primitive
-//! fields only, and the service layer owns the mapping to its own
-//! `VmRequest`/`Placement`/`Verdict` types. That keeps this crate at
-//! the bottom of the dependency DAG (only `eavm-types` and the
-//! `eavm-storage` file-operation abstraction below it) and its formats
-//! trivially testable. Every file access routes through an
+//! The journal has one vocabulary, the service's own: a [`WalRecord`]
+//! carries the `VmRequest`, the [`Verdict`], the consolidation `Move`s
+//! or the clock instant itself, and a [`SnapshotRec`] the
+//! [`FleetDump`] and the parked requests. [`Verdict`], [`ShedReason`]
+//! and [`verdict_line`], the one rendering of a verdict for live acks
+//! and WAL replays alike, live here too (`eavm-service` re-exports
+//! them), so [`record`] is the single owner of the wire format and
+//! nothing converts to or from mirror types. Below this crate sit only
+//! `eavm-types`, `eavm-core`, `eavm-swf`, `eavm-migrate` and the
+//! `eavm-storage` file-operation abstraction; none of them depends on
+//! it. Every file access routes through an
 //! [`eavm_storage::Storage`] backend, so the fault injector can drive
 //! torn writes, bit rot, ENOSPC, and dropped syncs through the exact
 //! production code paths; [`scrub`] is the offline repair pass that

@@ -1137,9 +1137,10 @@ impl Admission {
                 // retry — but replay already applied that retirement,
                 // so the re-driven decision above saw zero freed
                 // capacity and skipped it. Re-run the retry tail of
-                // `admit`: the re-journaled `Clock` and the retry
-                // admissions land frame-for-frame where the crashed
-                // process would have put them.
+                // `admit`: its `Clock` (journaled only if the tail does
+                // not already hold it) and the retry admissions land
+                // frame-for-frame where the crashed process would have
+                // put them.
                 self.advance(self.now);
                 self.retry_parked();
             }
@@ -1158,7 +1159,7 @@ impl Admission {
             if resume_retired {
                 // The crashed request's clock advance freed capacity but
                 // its journaled sync was lost with the crash: sync now
-                // (re-journaling the `Clock` the live run wrote).
+                // (journaling the `Clock` the live run wrote).
                 self.advance(self.now);
             }
             self.retry_parked();
