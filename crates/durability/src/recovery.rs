@@ -136,6 +136,8 @@ mod tests {
     use super::*;
     use crate::snapshot::write_snapshot;
     use crate::wal::Wal;
+    use eavm_swf::{Priority, VmRequest};
+    use eavm_types::{JobId, Seconds, WorkloadType};
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("eavm-rec-{}-{name}", std::process::id()));
@@ -147,13 +149,13 @@ mod tests {
     fn submit(ticket: u64) -> WalRecord {
         WalRecord::Submit {
             ticket,
-            req: eavm_swf::VmRequest {
-                id: eavm_types::JobId(ticket as u32),
-                submit: eavm_types::Seconds(0.0),
-                workload: eavm_types::WorkloadType::Cpu,
+            req: VmRequest {
+                id: JobId(ticket as u32),
+                submit: Seconds(0.0),
+                workload: WorkloadType::Cpu,
                 vm_count: 1,
-                deadline: eavm_types::Seconds(100.0),
-                priority: eavm_swf::Priority::Standard,
+                deadline: Seconds(100.0),
+                priority: Priority::Standard,
             },
         }
     }
@@ -162,7 +164,7 @@ mod tests {
         SnapshotRec {
             seq,
             wal_frames,
-            now: eavm_types::Seconds(0.0),
+            now: Seconds(0.0),
             next_ticket: wal_frames,
             fleet: None,
             parked: vec![],
